@@ -115,24 +115,9 @@ ParsedCsv ParseCsv(std::istream& input) {
       result.error = out.str();
       return parsed;
     }
-    std::vector<Cell> cells;
+    std::vector<Cell> cells(num_columns);
     for (size_t i = 0; i < num_columns; ++i) {
-      try {
-        switch (columns[i].type) {
-          case CellType::kInt:
-            cells.push_back(Cell(static_cast<int64_t>(std::stoll(fields[i]))));
-            break;
-          case CellType::kDouble:
-            cells.push_back(Cell(std::stod(fields[i])));
-            break;
-          case CellType::kString:
-            cells.push_back(Cell(fields[i]));
-            break;
-          default:
-            result.error = "unsupported column type";
-            return parsed;
-        }
-      } catch (const std::exception&) {
+      if (!ParseCellToken(fields[i], columns[i].type, &cells[i])) {
         std::ostringstream out;
         out << "line " << line_number << ": cannot parse '" << fields[i]
             << "' for column " << columns[i].name;
@@ -142,19 +127,12 @@ ParsedCsv ParseCsv(std::istream& input) {
     }
     double p = 1.0;
     if (has_prob) {
-      try {
-        p = std::stod(fields.back());
-      } catch (const std::exception&) {
+      const bool parsed_p = ParseFullDouble(fields.back(), &p);
+      // The negated >= form also rejects NaN (every NaN comparison is false).
+      if (!parsed_p || !(p >= 0.0 && p <= 1.0)) {
         std::ostringstream out;
         out << "line " << line_number << ": bad probability '"
-            << fields.back() << "'";
-        result.error = out.str();
-        return parsed;
-      }
-      if (p < 0.0 || p > 1.0) {
-        std::ostringstream out;
-        out << "line " << line_number << ": probability " << p
-            << " out of [0, 1]";
+            << fields.back() << "'" << (parsed_p ? " (out of [0, 1])" : "");
         result.error = out.str();
         return parsed;
       }

@@ -78,6 +78,44 @@ bool InProcessBackend::Respawn(size_t shard, std::string* message) {
 }
 
 // ---------------------------------------------------------------------------
+// DatabaseBackend: one plain Database (the shell's single-database mode).
+// ---------------------------------------------------------------------------
+
+QueryRun DatabaseBackend::RunQuery(const Query& q) {
+  QueryRun run;
+  run.local_result = db_->Run(q);
+  run.schema = run.local_result.schema();
+  run.text = run.local_result.ToString(&db_->pool());
+  // Batch step II: fans across db_->eval_options().num_threads threads.
+  run.probabilities = db_->TupleProbabilities(run.local_result);
+  return run;
+}
+
+QueryRun DatabaseBackend::PrintView(const std::string& name) {
+  QueryRun run;
+  run.local_result = db_->ViewTable(name);
+  run.schema = run.local_result.schema();
+  run.text = run.local_result.ToString(&db_->pool());
+  run.probabilities = db_->ViewProbabilities(name);
+  return run;
+}
+
+std::vector<ShardedDatabase::ViewInfo> DatabaseBackend::ViewInfos() {
+  std::vector<ShardedDatabase::ViewInfo> infos;
+  for (const std::string& name : db_->ViewNames()) {
+    const MaterializedView& view = db_->views().view(name);
+    const PvcTable& table = db_->ViewTable(name);
+    ShardedDatabase::ViewInfo info;
+    info.name = name;
+    info.plan = MaterializedView::PlanName(view.plan());
+    info.rows = table.NumRows();
+    info.cache_entries = view.step_two().LiveEntries(table);
+    infos.push_back(std::move(info));
+  }
+  return infos;
+}
+
+// ---------------------------------------------------------------------------
 // RemoteBackend: worker management (everything else delegates inline).
 // ---------------------------------------------------------------------------
 
@@ -118,13 +156,13 @@ bool RemoteBackend::Respawn(size_t shard, std::string* message) {
 }
 
 // ---------------------------------------------------------------------------
-// ExecuteCommand: the single rendering path for both backends.
+// RunCommand: the one implementation of the command language.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-// Mirrors the shell's PrintRowProbabilities: one P[row i] line per tuple,
-// with conditional aggregate distributions appended for kAggExpr columns.
+// One P[row i] line per tuple, with conditional aggregate distributions
+// appended for kAggExpr columns.
 void AppendRowProbabilityLines(std::ostream& out, ServeBackend* backend,
                                const QueryRun& run) {
   for (size_t i = 0; i < run.probabilities.size(); ++i) {
@@ -140,51 +178,15 @@ void AppendRowProbabilityLines(std::ostream& out, ServeBackend* backend,
   }
 }
 
-// Parses the whole of `token` as a double; rejects trailing garbage.
-bool ParseFullDouble(const std::string& token, double* out) {
-  try {
-    size_t pos = 0;
-    *out = std::stod(token, &pos);
-    return pos == token.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
+constexpr char kNotDurable[] =
+    "not durable (open a directory: 'open <dir>' in the shell, --open <dir> "
+    "on the server)\n";
 
-// Parses the whole of `token` as a cell of column type `type` (partial
-// parses like "14.99" for an int column are rejected, not truncated).
-bool ParseCellToken(const std::string& token, CellType type, Cell* out) {
-  try {
-    size_t pos = 0;
-    switch (type) {
-      case CellType::kInt: {
-        int64_t v = std::stoll(token, &pos);
-        if (pos != token.size()) return false;
-        *out = Cell(v);
-        return true;
-      }
-      case CellType::kDouble: {
-        double v = std::stod(token, &pos);
-        if (pos != token.size()) return false;
-        *out = Cell(v);
-        return true;
-      }
-      case CellType::kString:
-        *out = Cell(token);
-        return true;
-      default:
-        return false;
-    }
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-void ServerHelp(std::ostream& out) {
+void PrintHelp(std::ostream& out) {
   out << "commands:\n"
-      << "  load <table> <file.csv>  import a tuple-independent table\n"
-      << "                           (the path is read by the server)\n"
-      << "  tables                   list tables with per-shard rows\n"
+      << "  load <table> <file.csv>  import a tuple-independent table (the\n"
+      << "                           path is read where the engine runs)\n"
+      << "  tables                   list tables (with per-shard rows)\n"
       << "  show <table>             print a pvc-table\n"
       << "  tractable <sql>          classify a query\n"
       << "  SELECT ...               run a query\n"
@@ -193,17 +195,26 @@ void ServerHelp(std::ostream& out) {
       << "  setprob <var> <p>        update a variable's marginal\n"
       << "  view <name> [SELECT ...] register / print a view\n"
       << "  views                    list materialized views\n"
-      << "  workers                  worker process liveness, (lsn, chain)\n"
       << "  stats [--json]           metrics snapshot (table or JSON Lines)\n"
-      << "  respawn <shard>          replace a down worker\n"
       << "  threads [n]              show or set the thread count\n"
       << "                           (0 = serial, -1 = all cores)\n"
       << "  intratree [n]            show or set the intra-d-tree\n"
       << "                           probability thread count\n"
-      << "  save                     checkpoint the durable directory\n"
-      << "  log                      durable directory status\n"
-      << "  shutdown                 stop the server\n"
-      << "  help | quit\n";
+      << "  save                     write a checkpoint (new snapshot\n"
+      << "                           generation, fresh WAL)\n"
+      << "  log                      durability status (generation,\n"
+      << "                           WAL records/bytes, recovery info)\n"
+      << "  help | quit\n"
+      << "local shell only:\n"
+      << "  shards [n]               show or set the shard count\n"
+      << "                           (0 = single database)\n"
+      << "  open <dir>               make the session durable: recover\n"
+      << "                           <dir> if it holds state, else\n"
+      << "                           snapshot the current state there\n"
+      << "server only:\n"
+      << "  workers                  worker process liveness, (lsn, chain)\n"
+      << "  respawn <shard>          replace a down worker\n"
+      << "  shutdown                 stop the server\n";
 }
 
 bool RunSelect(ServeBackend* backend, const std::string& line,
@@ -340,9 +351,15 @@ bool RunSetProb(ServeBackend* backend, std::istream& stream,
   if (!var_token.empty() && var_token[0] == 'x') {
     var_token = var_token.substr(1);
   }
+  // Both arguments must parse in full -- a typo like "0..5" must not
+  // silently become a destructive p = 0 update. A leading sign is
+  // rejected too: std::stoul would wrap "-1" to a huge id.
   VarId var = 0;
   double p = -1.0;
   try {
+    if (var_token.empty() || var_token[0] < '0' || var_token[0] > '9') {
+      throw std::invalid_argument(var_token);
+    }
     size_t pos = 0;
     var = static_cast<VarId>(std::stoul(var_token, &pos));
     if (pos != var_token.size()) throw std::invalid_argument(var_token);
@@ -350,6 +367,7 @@ bool RunSetProb(ServeBackend* backend, std::istream& stream,
     out << "usage: setprob <var> <p in [0,1]>\n";
     return false;
   }
+  // The negated >= form also rejects NaN (every NaN comparison is false).
   if (!ParseFullDouble(p_token, &p) || !(p >= 0.0 && p <= 1.0)) {
     out << "usage: setprob <var> <p in [0,1]>\n";
     return false;
@@ -418,13 +436,9 @@ bool RunViewCommand(ServeBackend* backend, std::istream& stream,
 
 }  // namespace
 
-ClientReplyMsg ExecuteCommand(ServeBackend* backend, const std::string& line,
-                              bool* shutdown, ServeSession* session) {
-  ClientReplyMsg reply;
-  std::ostringstream out;
-  // Precision 17 round-trips doubles exactly, so reply-text equality
-  // between two backends implies bit-equality of every probability.
-  out << std::setprecision(17);
+bool RunCommand(ServeBackend* backend, const std::string& line,
+                bool* shutdown, ServeSession* session, std::ostream& out) {
+  bool ok = true;
   std::istringstream stream(line);
   std::string command;
   stream >> command;
@@ -434,30 +448,32 @@ ClientReplyMsg ExecuteCommand(ServeBackend* backend, const std::string& line,
     } else if (command == "quit" || command == "exit") {
       out << "bye\n";
     } else if (command == "help") {
-      ServerHelp(out);
+      PrintHelp(out);
     } else if (command == "load") {
       std::string table;
       std::string path;
       stream >> table >> path;
       if (table.empty() || path.empty()) {
         out << "usage: load <table> <file.csv>\n";
-        reply.ok = false;
+        ok = false;
       } else {
         CsvResult r = backend->LoadCsv(table, path);
         if (r.ok) {
           out << "loaded " << r.rows << " rows into " << table << "\n";
         } else {
           out << "error: " << r.error << "\n";
-          reply.ok = false;
+          ok = false;
         }
       }
     } else if (command == "tables") {
       const Database& catalog = backend->catalog();
       for (const std::string& name : catalog.TableNames()) {
-        out << name << " (" << catalog.table(name).NumRows()
-            << " rows; per shard:";
-        for (size_t count : backend->ShardRowCounts(name)) {
-          out << " " << count;
+        out << name << " (" << catalog.table(name).NumRows() << " rows";
+        if (backend->num_shards() > 0) {
+          out << "; per shard:";
+          for (size_t count : backend->ShardRowCounts(name)) {
+            out << " " << count;
+          }
         }
         out << ")\n";
       }
@@ -467,24 +483,24 @@ ClientReplyMsg ExecuteCommand(ServeBackend* backend, const std::string& line,
       const Database& catalog = backend->catalog();
       if (!catalog.HasTable(table)) {
         out << "no table '" << table << "'\n";
-        reply.ok = false;
+        ok = false;
       } else {
         out << catalog.table(table).ToString(&catalog.pool());
       }
     } else if (command == "tractable") {
       std::string rest;
       std::getline(stream, rest);
-      reply.ok = RunTractable(backend, rest, out);
+      ok = RunTractable(backend, rest, out);
     } else if (command == "SELECT" || command == "select") {
-      reply.ok = RunSelect(backend, line, out);
+      ok = RunSelect(backend, line, out);
     } else if (command == "insert") {
-      reply.ok = RunInsert(backend, stream, out);
+      ok = RunInsert(backend, stream, out);
     } else if (command == "delete") {
-      reply.ok = RunDelete(backend, stream, out);
+      ok = RunDelete(backend, stream, out);
     } else if (command == "setprob") {
-      reply.ok = RunSetProb(backend, stream, out);
+      ok = RunSetProb(backend, stream, out);
     } else if (command == "view") {
-      reply.ok = RunViewCommand(backend, stream, out);
+      ok = RunViewCommand(backend, stream, out);
     } else if (command == "views") {
       for (const ShardedDatabase::ViewInfo& info : backend->ViewInfos()) {
         out << info.name << " (" << info.plan << ", " << info.rows
@@ -495,7 +511,7 @@ ClientReplyMsg ExecuteCommand(ServeBackend* backend, const std::string& line,
       stream >> flag;
       if (!flag.empty() && flag != "--json") {
         out << "usage: stats [--json]\n";
-        reply.ok = false;
+        ok = false;
       } else {
         std::vector<MetricSnapshot> entries = backend->StatsSnapshot();
         out << (flag == "--json" ? RenderMetricsJson(entries)
@@ -505,13 +521,15 @@ ClientReplyMsg ExecuteCommand(ServeBackend* backend, const std::string& line,
       out << backend->Workers();
     } else if (command == "respawn") {
       size_t shard = 0;
-      if (!(stream >> shard) || shard >= backend->num_shards()) {
+      // A single database has no shard to name; its Respawn explains why.
+      if (backend->num_shards() > 0 &&
+          (!(stream >> shard) || shard >= backend->num_shards())) {
         out << "usage: respawn <shard in [0, " << backend->num_shards()
             << ")>\n";
-        reply.ok = false;
+        ok = false;
       } else {
         std::string message;
-        reply.ok = backend->Respawn(shard, &message);
+        ok = backend->Respawn(shard, &message);
         out << message;
       }
     } else if (command == "shutdown") {
@@ -520,7 +538,7 @@ ClientReplyMsg ExecuteCommand(ServeBackend* backend, const std::string& line,
     } else if (command == "threads" || command == "intratree") {
       if (session == nullptr) {
         out << "command '" << command << "' is not available in server mode\n";
-        reply.ok = false;
+        ok = false;
       } else {
         int n = 0;
         if (stream >> n) {
@@ -529,8 +547,6 @@ ClientReplyMsg ExecuteCommand(ServeBackend* backend, const std::string& line,
           backend->SetEvalOptions(session->num_threads,
                                   session->intra_tree_threads);
         }
-        // Mirrors the shell's display exactly (session-level knob values,
-        // not the engine's resolved counts).
         if (command == "threads") {
           out << "num_threads = " << session->num_threads << " (0 = serial; "
               << DefaultThreadCount() << " hardware threads)\n";
@@ -542,8 +558,8 @@ ClientReplyMsg ExecuteCommand(ServeBackend* backend, const std::string& line,
       }
     } else if (command == "save") {
       if (session == nullptr || session->durable == nullptr) {
-        out << "not durable (start the server with --open <dir>)\n";
-        reply.ok = false;
+        out << kNotDurable;
+        ok = false;
       } else {
         std::string error;
         if (session->durable->Checkpoint(&error)) {
@@ -551,13 +567,13 @@ ClientReplyMsg ExecuteCommand(ServeBackend* backend, const std::string& line,
               << session->durable->stats().generation << ")\n";
         } else {
           out << "error: " << error << "\n";
-          reply.ok = false;
+          ok = false;
         }
       }
     } else if (command == "log") {
       if (session == nullptr || session->durable == nullptr) {
-        out << "not durable (start the server with --open <dir>)\n";
-        reply.ok = false;
+        out << kNotDurable;
+        ok = false;
       } else {
         DurableStats stats = session->durable->stats();
         out << "dir = " << session->durable->dir() << "\n"
@@ -571,16 +587,28 @@ ClientReplyMsg ExecuteCommand(ServeBackend* backend, const std::string& line,
       }
     } else if (command == "shards" || command == "open") {
       out << "command '" << command << "' is not available in server mode\n";
-      reply.ok = false;
+      ok = false;
     } else {
       out << "unknown command '" << command << "' -- try 'help'\n";
-      reply.ok = false;
+      ok = false;
     }
   } catch (const std::exception& e) {
-    // Belt and braces: ExecuteCommand never throws into the poll loop.
+    // Belt and braces: RunCommand never throws into the poll loop or the
+    // shell.
     out << "error: " << e.what() << "\n";
-    reply.ok = false;
+    ok = false;
   }
+  return ok;
+}
+
+ClientReplyMsg ExecuteCommand(ServeBackend* backend, const std::string& line,
+                              bool* shutdown, ServeSession* session) {
+  std::ostringstream out;
+  // Precision 17 round-trips doubles exactly, so reply-text equality
+  // between two backends implies bit-equality of every probability.
+  out << std::setprecision(17);
+  ClientReplyMsg reply;
+  reply.ok = RunCommand(backend, line, shutdown, session, out);
   reply.text = out.str();
   return reply;
 }

@@ -1,22 +1,29 @@
-// The pvcdb front-end server: accepts many concurrent shell clients over
-// one listening socket and executes their commands against a serving
-// backend -- either a Coordinator over out-of-process shard workers (the
-// normal mode) or an in-process ShardedDatabase (the bit-identity
-// reference mode, used by tests).
+// The pvcdb command language and the front-end server that serves it.
 //
-// Consistency model: commands execute one at a time on the server's single
-// thread (the poll loop dispatches a complete command frame, runs it to
-// completion, sends the reply, then returns to poll). Reads are therefore
-// snapshot-consistent -- a SELECT never observes a half-applied mutation --
-// and mutations from concurrent clients serialize in arrival order,
-// streaming through the IVM delta path like their shell counterparts.
-// Parallelism lives *inside* a command: the distributed scatter fans out
-// to every worker before collecting any reply.
+// RunCommand is the one implementation of the engine's command language
+// (load / tables / show / tractable / SELECT / insert / delete / setprob /
+// view / views / stats / threads / intratree / save / log / help, plus the
+// server-only workers / respawn / shutdown). It renders every reply into a
+// caller-owned stream, against a ServeBackend:
+//   - DatabaseBackend over one plain Database (the local shell's default
+//     single-database mode);
+//   - InProcessBackend over an in-process ShardedDatabase (the shell after
+//     `shards n`, and the server's bit-identity reference mode);
+//   - RemoteBackend over a Coordinator of out-of-process shard workers
+//     (the server's normal mode).
+// tools/pvcdb_shell.cc is a REPL over RunCommand writing to std::cout
+// (default precision 6). The server runs ExecuteCommand, which renders
+// into a precision-17 buffer, so reply-text equality between two backends
+// is double bit-equality.
 //
-// ExecuteCommand is the single rendering path shared by both backends; the
-// e2e test compares its output byte for byte between a RemoteBackend and a
-// local InProcessBackend. Probabilities print at precision 17, so text
-// equality is double bit-equality.
+// Server consistency model: commands execute one at a time on the server's
+// single thread (the poll loop dispatches a complete command frame, runs it
+// to completion, sends the reply, then returns to poll). Reads are
+// therefore snapshot-consistent -- a SELECT never observes a half-applied
+// mutation -- and mutations from concurrent clients serialize in arrival
+// order, streaming through the IVM delta path. Parallelism lives *inside*
+// a command: the distributed scatter fans out to every worker before
+// collecting any reply.
 //
 // Durability is wired in through ServerConfig::open_dir: the server opens
 // (or recovers) a DurableSession over the durable directory, logs every
@@ -32,6 +39,7 @@
 #define PVCDB_SERVE_SERVER_H_
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -43,8 +51,8 @@
 
 namespace pvcdb {
 
-/// The command surface ExecuteCommand runs against. Both implementations
-/// compute every number through the same per-row step II pipeline, so
+/// The command surface RunCommand runs against. Every implementation
+/// computes each number through the same per-row step II pipeline, so
 /// their rendered replies agree bit for bit.
 class ServeBackend {
  public:
@@ -135,6 +143,67 @@ class InProcessBackend : public ServeBackend {
   ShardedDatabase* db_;
 };
 
+/// Backend over one plain Database (does not own it): the local shell's
+/// single-database mode. num_shards() is 0, so `tables` prints no
+/// per-shard counts.
+class DatabaseBackend : public ServeBackend {
+ public:
+  explicit DatabaseBackend(Database* db) : db_(db) {}
+
+  const Database& catalog() const override { return *db_; }
+  size_t num_shards() const override { return 0; }
+  std::vector<size_t> ShardRowCounts(const std::string& name) override {
+    (void)name;
+    return {};
+  }
+  CsvResult LoadCsv(const std::string& table,
+                    const std::string& path) override {
+    return LoadCsvTableFromFile(db_, table, path);
+  }
+  QueryRun RunQuery(const Query& q) override;
+  Distribution ConditionalAgg(const QueryRun& run, size_t row_index,
+                              const std::string& column) override {
+    return db_->ConditionalAggregateDistribution(run.local_result, row_index,
+                                                 column);
+  }
+  void Insert(const std::string& table, std::vector<Cell> cells,
+              double p) override {
+    db_->InsertTuple(table, std::move(cells), p);
+  }
+  size_t Delete(const std::string& table, const Cell& key) override {
+    return db_->DeleteTuple(table, key);
+  }
+  void SetProb(VarId var, double p) override {
+    db_->UpdateProbability(var, p);
+  }
+  size_t RegisterView(const std::string& name, QueryPtr query,
+                      std::vector<std::string>* warnings) override {
+    (void)warnings;  // A single database has no degraded mode.
+    return db_->RegisterView(name, std::move(query)).NumRows();
+  }
+  bool HasView(const std::string& name) override { return db_->HasView(name); }
+  QueryRun PrintView(const std::string& name) override;
+  std::vector<ShardedDatabase::ViewInfo> ViewInfos() override;
+  std::string Workers() override {
+    return "in-process engine (single database); no worker processes\n";
+  }
+  bool Respawn(size_t shard, std::string* message) override {
+    (void)shard;
+    *message = "respawn requires out-of-process workers\n";
+    return false;
+  }
+  void SetEvalOptions(int num_threads, int intra_tree_threads) override {
+    db_->eval_options().num_threads = num_threads;
+    db_->eval_options().intra_tree_threads = intra_tree_threads;
+  }
+  std::vector<MetricSnapshot> StatsSnapshot() override {
+    return MetricsRegistry::Global().Snapshot();
+  }
+
+ private:
+  Database* db_;
+};
+
 /// Serving backend over a Coordinator of remote workers (does not own it).
 class RemoteBackend : public ServeBackend {
  public:
@@ -192,21 +261,28 @@ class RemoteBackend : public ServeBackend {
   Coordinator* coordinator_;
 };
 
-/// Mutable per-server state beyond the backend: the durable session (for
+/// Mutable per-session state beyond the backend: the durable session (for
 /// `save` / `log`) and the session-level thread knobs (`threads` /
-/// `intratree`, mirroring the shell's display semantics). Null members
-/// render those commands unavailable.
+/// `intratree` display these values, not the engine's resolved counts).
+/// Null members render those commands unavailable.
 struct ServeSession {
   DurableSession* durable = nullptr;
   int num_threads = 0;
   int intra_tree_threads = 0;
 };
 
-/// Parses and executes one shell command line against `backend`, rendering
-/// the full reply text (mirroring tools/pvcdb_shell.cc output formats,
-/// with probabilities at precision 17). Sets `*shutdown` when the command
-/// was `shutdown`. Never throws. `session` may be null (a serving surface
-/// with no durable directory and no thread knobs, as in unit tests).
+/// Parses and executes one command line against `backend`, rendering the
+/// full reply text into `out` (numbers print at `out`'s precision). Returns
+/// false when the command failed. Sets `*shutdown` when the command was
+/// `shutdown`. Never throws. `session` may be null (a surface with no
+/// durable directory and no thread knobs, as in unit tests). The
+/// session-topology commands `shards` and `open` belong to the local shell
+/// and are rejected here.
+bool RunCommand(ServeBackend* backend, const std::string& line,
+                bool* shutdown, ServeSession* session, std::ostream& out);
+
+/// RunCommand rendered into a reply message, with probabilities at
+/// precision 17 (the wire format).
 ClientReplyMsg ExecuteCommand(ServeBackend* backend, const std::string& line,
                               bool* shutdown, ServeSession* session = nullptr);
 

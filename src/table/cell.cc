@@ -1,6 +1,7 @@
 #include "src/table/cell.h"
 
 #include <cstring>
+#include <exception>
 
 #include "src/expr/print.h"
 #include "src/util/check.h"
@@ -128,6 +129,43 @@ std::string Cell::ToString(const ExprPool* pool) const {
       return "<agg#" + std::to_string(std::get<AggRef>(value_).expr) + ">";
   }
   PVC_FAIL("corrupt cell variant");
+}
+
+bool ParseFullDouble(const std::string& token, double* out) {
+  try {
+    size_t pos = 0;
+    *out = std::stod(token, &pos);
+    return pos == token.size();
+  } catch (const std::exception&) {
+    return false;
+  }
+}
+
+bool ParseCellToken(const std::string& token, CellType type, Cell* out) {
+  try {
+    size_t pos = 0;
+    switch (type) {
+      case CellType::kInt: {
+        int64_t v = std::stoll(token, &pos);
+        if (pos != token.size()) return false;
+        *out = Cell(v);
+        return true;
+      }
+      case CellType::kDouble: {
+        double v = std::stod(token, &pos);
+        if (pos != token.size()) return false;
+        *out = Cell(v);
+        return true;
+      }
+      case CellType::kString:
+        *out = Cell(token);
+        return true;
+      default:
+        return false;
+    }
+  } catch (const std::exception&) {
+    return false;
+  }
 }
 
 }  // namespace pvcdb

@@ -73,6 +73,15 @@ class Cell {
   std::variant<std::monostate, int64_t, double, std::string, AggRef> value_;
 };
 
+/// Parses the whole of `token` as a double; rejects trailing garbage.
+bool ParseFullDouble(const std::string& token, double* out);
+
+/// Parses the whole of `token` as a cell of column type `type` (int,
+/// double or string). Partial parses like "14.99" for an int column are
+/// rejected, not truncated. Shared by the command language and the CSV
+/// loader, so both accept exactly the same tokens.
+bool ParseCellToken(const std::string& token, CellType type, Cell* out);
+
 }  // namespace pvcdb
 
 #endif  // PVCDB_TABLE_CELL_H_

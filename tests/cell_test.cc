@@ -62,5 +62,28 @@ TEST(CellTest, ToStringRendering) {
   EXPECT_NE(Cell::Agg(e).ToString(nullptr).find("agg#"), std::string::npos);
 }
 
+TEST(CellTest, ParseCellTokenAcceptsWholeTokensOnly) {
+  Cell c;
+  ASSERT_TRUE(ParseCellToken("-42", CellType::kInt, &c));
+  EXPECT_EQ(c, Cell(int64_t{-42}));
+  ASSERT_TRUE(ParseCellToken("2.5", CellType::kDouble, &c));
+  EXPECT_EQ(c, Cell(2.5));
+  ASSERT_TRUE(ParseCellToken("14.99", CellType::kString, &c));
+  EXPECT_EQ(c, Cell("14.99"));
+  EXPECT_FALSE(ParseCellToken("14.99", CellType::kInt, &c));
+  EXPECT_FALSE(ParseCellToken("7x", CellType::kInt, &c));
+  EXPECT_FALSE(ParseCellToken("", CellType::kInt, &c));
+  EXPECT_FALSE(ParseCellToken("99999999999999999999", CellType::kInt, &c));
+  EXPECT_FALSE(ParseCellToken("2.5.1", CellType::kDouble, &c));
+  EXPECT_FALSE(ParseCellToken("1", CellType::kAggExpr, &c));
+
+  double d = 0.0;
+  EXPECT_TRUE(ParseFullDouble("0.25", &d));
+  EXPECT_EQ(d, 0.25);
+  EXPECT_FALSE(ParseFullDouble("0.25abc", &d));
+  EXPECT_FALSE(ParseFullDouble("0..5", &d));
+  EXPECT_FALSE(ParseFullDouble("", &d));
+}
+
 }  // namespace
 }  // namespace pvcdb

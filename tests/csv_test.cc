@@ -87,6 +87,35 @@ TEST(CsvTest, Diagnostics) {
   }
 }
 
+// Cells and probabilities parse in full through the same token parser as
+// the shell's `insert`: a partial parse is an error, never a truncation.
+TEST(CsvTest, PartialTokensRejected) {
+  const char* bad_cells[] = {"14.99", "7x"};
+  for (const char* cell : bad_cells) {
+    Database db;
+    std::istringstream input(std::string("price:int,_prob\n1,0.5\n") + cell +
+                             ",0.5\n");
+    CsvResult r = LoadCsvTable(&db, "t", input);
+    EXPECT_FALSE(r.ok) << cell;
+    EXPECT_NE(r.error.find(std::string("line 3: cannot parse '") + cell),
+              std::string::npos)
+        << r.error;
+    EXPECT_FALSE(db.HasTable("t"));
+  }
+  const char* bad_probs[] = {"0.25abc", "nan", "-nan", "1.5"};
+  for (const char* prob : bad_probs) {
+    Database db;
+    std::istringstream input(std::string("price:int,_prob\n3,") + prob +
+                             "\n");
+    CsvResult r = LoadCsvTable(&db, "t", input);
+    EXPECT_FALSE(r.ok) << prob;
+    EXPECT_NE(r.error.find(std::string("line 2: bad probability '") + prob),
+              std::string::npos)
+        << r.error;
+    EXPECT_FALSE(db.HasTable("t"));
+  }
+}
+
 TEST(CsvTest, CrLfTolerated) {
   Database db;
   std::istringstream input("k:int,_prob\r\n7,0.25\r\n");

@@ -24,6 +24,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -84,6 +85,36 @@ void ReapWorker(pid_t pid) {
   kill(pid, SIGKILL);
   waitpid(pid, nullptr, 0);
 }
+
+// Owns the standalone workers a scenario forks: kills and reaps each one
+// when the scope ends -- also on a failing ASSERT's early return, so no
+// orphaned worker keeps ctest's output pipe open until the TIMEOUT.
+class WorkerReaper {
+ public:
+  WorkerReaper() = default;
+  ~WorkerReaper() {
+    for (pid_t pid : pids_) ReapWorker(pid);
+  }
+  WorkerReaper(const WorkerReaper&) = delete;
+  WorkerReaper& operator=(const WorkerReaper&) = delete;
+
+  /// Forks a standalone worker on `address`; returns its pid (<= 0 when
+  /// the fork failed).
+  pid_t Start(const std::string& address) {
+    pid_t pid = StartStandaloneWorker(address);
+    if (pid > 0) pids_.push_back(pid);
+    return pid;
+  }
+
+  /// Kills and reaps `pid` now, as a scenario step.
+  void Reap(pid_t pid) {
+    pids_.erase(std::remove(pids_.begin(), pids_.end(), pid), pids_.end());
+    ReapWorker(pid);
+  }
+
+ private:
+  std::vector<pid_t> pids_;
+};
 
 std::vector<RemoteShard> DialWorkers(const std::vector<std::string>& addrs) {
   std::vector<RemoteShard> workers;
@@ -149,7 +180,7 @@ QueryRun RunChain(Coordinator* coordinator) {
 struct Twin {
   explicit Twin(const std::string& dir) {
     address = dir + "/twin.sock";
-    pid = StartStandaloneWorker(address);
+    pid = reaper.Start(address);
     EXPECT_GT(pid, 0);
     coordinator = MakeCoordinator({address}, {address}, kRpcDeadlineMs);
     LoadItems(coordinator.get());
@@ -161,10 +192,9 @@ struct Twin {
   ~Twin() {
     coordinator->Shutdown();
     coordinator.reset();
-    int status = 0;
-    waitpid(pid, &status, 0);
   }
 
+  WorkerReaper reaper;  ///< Destroyed last: reaps the twin's worker.
   std::string address;
   pid_t pid = -1;
   std::unique_ptr<Coordinator> coordinator;
@@ -183,8 +213,9 @@ TEST(FaultInjectionTest, SigstoppedWorkerDegradesWithinTheDeadline) {
   TempDir dir;
   const std::vector<std::string> addrs = {dir.path() + "/w0.sock",
                                           dir.path() + "/w1.sock"};
+  WorkerReaper reaper;
   std::vector<pid_t> pids;
-  for (const std::string& a : addrs) pids.push_back(StartStandaloneWorker(a));
+  for (const std::string& a : addrs) pids.push_back(reaper.Start(a));
   for (pid_t pid : pids) ASSERT_GT(pid, 0);
 
   auto coordinator = MakeCoordinator(addrs, addrs, kRpcDeadlineMs);
@@ -252,7 +283,6 @@ TEST(FaultInjectionTest, SigstoppedWorkerDegradesWithinTheDeadline) {
 
   coordinator->Shutdown();
   coordinator.reset();
-  for (pid_t pid : pids) ReapWorker(pid);
 }
 
 // ---------------------------------------------------------------------------
@@ -265,7 +295,8 @@ TEST(FaultInjectionTest, DroppedRequestShipsTheMutationExactlyOnce) {
   Twin twin(dir.path());
 
   const std::string worker_addr = dir.path() + "/w.sock";
-  pid_t pid = StartStandaloneWorker(worker_addr);
+  WorkerReaper reaper;
+  pid_t pid = reaper.Start(worker_addr);
   ASSERT_GT(pid, 0);
 
   FaultProxy proxy;
@@ -316,7 +347,6 @@ TEST(FaultInjectionTest, DroppedRequestShipsTheMutationExactlyOnce) {
   coordinator->Shutdown();
   coordinator.reset();
   proxy.Stop();
-  ReapWorker(pid);
 }
 
 TEST(FaultInjectionTest, DroppedReplyNeverReappliesTheMutation) {
@@ -325,7 +355,8 @@ TEST(FaultInjectionTest, DroppedReplyNeverReappliesTheMutation) {
   Twin twin(dir.path());
 
   const std::string worker_addr = dir.path() + "/w.sock";
-  pid_t pid = StartStandaloneWorker(worker_addr);
+  WorkerReaper reaper;
+  pid_t pid = reaper.Start(worker_addr);
   ASSERT_GT(pid, 0);
 
   FaultProxy proxy;
@@ -370,7 +401,6 @@ TEST(FaultInjectionTest, DroppedReplyNeverReappliesTheMutation) {
   coordinator->Shutdown();
   coordinator.reset();
   proxy.Stop();
-  ReapWorker(pid);
 }
 
 // ---------------------------------------------------------------------------
@@ -390,7 +420,8 @@ TEST(FaultInjectionTest, MangledRepliesPoisonTheLinkWithoutReapplying) {
     SCOPED_TRACE("fault kind " + std::to_string(i));
     const std::string worker_addr =
         dir.path() + "/w" + std::to_string(i) + ".sock";
-    pid_t pid = StartStandaloneWorker(worker_addr);
+    WorkerReaper reaper;
+    pid_t pid = reaper.Start(worker_addr);
     ASSERT_GT(pid, 0);
 
     FaultProxy proxy;
@@ -438,7 +469,6 @@ TEST(FaultInjectionTest, MangledRepliesPoisonTheLinkWithoutReapplying) {
     coordinator->Shutdown();
     coordinator.reset();
     proxy.Stop();
-    ReapWorker(pid);
   }
 }
 
@@ -451,7 +481,8 @@ TEST(FaultInjectionTest, DelayedThenFrozenLinkDegradesWithinTheDeadline) {
   SetMetricsEnabled(true);
   TempDir dir;
   const std::string worker_addr = dir.path() + "/w.sock";
-  pid_t pid = StartStandaloneWorker(worker_addr);
+  WorkerReaper reaper;
+  pid_t pid = reaper.Start(worker_addr);
   ASSERT_GT(pid, 0);
 
   FaultProxy proxy;
@@ -503,7 +534,6 @@ TEST(FaultInjectionTest, DelayedThenFrozenLinkDegradesWithinTheDeadline) {
 
   coordinator->Shutdown();
   coordinator.reset();
-  ReapWorker(pid);
 }
 
 // ---------------------------------------------------------------------------
@@ -525,7 +555,8 @@ TEST(FaultInjectionTest, HeartbeatWalkAndRespawnCircuitBreaker) {
   TempDir dir;
   const std::string addr_a = dir.path() + "/a.sock";
   const std::string addr_b = dir.path() + "/b.sock";
-  pid_t pid_a = StartStandaloneWorker(addr_a);
+  WorkerReaper reaper;
+  pid_t pid_a = reaper.Start(addr_a);
   ASSERT_GT(pid_a, 0);
 
   // A spawner the test steers: count calls, fail on demand, and dial
@@ -583,7 +614,7 @@ TEST(FaultInjectionTest, HeartbeatWalkAndRespawnCircuitBreaker) {
   EXPECT_EQ(sent->Value(), sent0 + 1);
 
   // Kill the worker. Tick 1: the ping fails -> suspect.
-  ReapWorker(pid_a);
+  reaper.Reap(pid_a);
   coordinator->HeartbeatTick(&lines);
   ASSERT_FALSE(lines.empty());
   EXPECT_NE(lines.back().find("suspect"), std::string::npos);
@@ -639,7 +670,7 @@ TEST(FaultInjectionTest, HeartbeatWalkAndRespawnCircuitBreaker) {
   // The failures age out of the window; a replacement worker comes up at
   // the standby address and the next tick heals the shard end to end.
   clock.Advance(11000);
-  pid_t pid_b = StartStandaloneWorker(addr_b);
+  pid_t pid_b = reaper.Start(addr_b);
   ASSERT_GT(pid_b, 0);
   *spawn_fails = false;
   lines.clear();
@@ -665,7 +696,6 @@ TEST(FaultInjectionTest, HeartbeatWalkAndRespawnCircuitBreaker) {
 
   coordinator->Shutdown();
   coordinator.reset();
-  ReapWorker(pid_b);
 }
 
 }  // namespace
