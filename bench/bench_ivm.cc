@@ -221,7 +221,7 @@ void RunSelectSeries(const Config& config, size_t shards, bool json) {
       inc_probs = sharded->ViewProbabilities("v");
       inc_seconds = inc.ElapsedSeconds();
       WallTimer full;
-      ShardedResult result = sharded->Run(*query);
+      PvcTable result = sharded->Run(*query);
       full_probs = sharded->TupleProbabilities(result);
       full_seconds = full.ElapsedSeconds();
     }

@@ -529,12 +529,22 @@ bool RunFaultPoint(const std::string& dir, size_t shards, size_t rows,
     pid_t pid = StartStandaloneWorker(worker_addrs.back());
     if (pid <= 0) return false;
     pids.push_back(pid);
+    // The proxy dials its upstream once per accepted connection, so the
+    // worker must be listening before the coordinator dials the proxy. A
+    // probe connection that closes without a hello is ignored by the
+    // worker.
+    std::string error;
+    if (!ConnectWithRetry(worker_addrs.back(), 250, &error).valid()) {
+      std::fprintf(stderr, "bench_serve: worker %s: %s\n",
+                   worker_addrs.back().c_str(), error.c_str());
+      ok = false;
+      break;
+    }
     FaultSchedule schedule;
     schedule.delay_probability = probability;
     schedule.delay_ms = delay_ms;
     schedule.seed = 0x5eedf417 + s;
     proxies.push_back(std::make_unique<FaultProxy>());
-    std::string error;
     if (!proxies.back()->Start(proxy_addrs.back(), worker_addrs.back(),
                                schedule, &error)) {
       std::fprintf(stderr, "bench_serve: fault proxy: %s\n", error.c_str());

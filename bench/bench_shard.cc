@@ -1,19 +1,22 @@
-// Sharded scatter-gather scaling curve (src/engine/shard.h): end-to-end
+// Thread scaling over a placed table (src/engine/shard.h): end-to-end
 // query evaluation + batch probability computation over a tuple-independent
-// table, swept over shards x threads.
+// table held by a ShardedDatabase -- one Database plus the shard placement
+// -- swept over shards x threads. The shard count changes only the
+// placement bookkeeping; the work fans across eval_options().num_threads.
 //
 // Two series:
-//   shard_query  -- GroupAgg COUNT per group (coordinator gather) followed
-//                   by the scatter-gather TupleProbabilities pass: the
-//                   step II d-tree work per group fans across threads.
-//   shard_select -- a distributed Select chain (per-shard step I) followed
-//                   by the scatter-gather pass over the surviving rows.
+//   shard_query  -- GroupAgg COUNT per group followed by the batch
+//                   TupleProbabilities pass: the step II d-tree work per
+//                   group fans across threads.
+//   shard_select -- a Select chain (the fragment the Coordinator scatters
+//                   to workers) followed by the batch pass over the
+//                   surviving rows.
 //
 // Throughput is reported as base-table rows per second through the full
 // pipeline. Every configuration's probabilities are compared bit-for-bit
 // against the shards=1, threads=1 reference; any divergence fails the run.
 // CI captures the JSON-lines output as BENCH_shard.json and gates the
-// normalized 4-way throughput against the committed baseline
+// normalized 4-thread throughput against the committed baseline
 // (scripts/check_bench_trajectory.py).
 //
 // Flags: --smoke (tiny grid, for ctest), --full (larger grid), --json.
@@ -73,7 +76,7 @@ SeriesPoint Measure(const Config& config, size_t shards, int threads,
   db.eval_options().num_threads = threads;
   SeriesPoint point;
   point.stats = TimeRuns(config.runs, [&](int) {
-    ShardedResult result = db.Run(query);
+    PvcTable result = db.Run(query);
     point.probabilities = db.TupleProbabilities(result);
   });
   return point;
@@ -146,7 +149,7 @@ int main(int argc, char** argv) {
   bool smoke = SmokeMode(argc, argv);
   bool json = JsonMode(argc, argv);
   if (!json) {
-    std::cout << "# Sharded scatter-gather scaling "
+    std::cout << "# Thread scaling over a placed table "
               << "(bit-identity enforced per point)\n";
   }
 

@@ -4,7 +4,7 @@
 Two metrics over JSON-lines bench output:
 
 --metric throughput (default; `bench_shard --json`): compares the
-*normalized* 4-way sharded throughput
+*normalized* 4-thread throughput over a placed table
 
     normalized = T(shards=4, threads=4) / T(shards=1, threads=1)
 

@@ -64,6 +64,7 @@ Coordinator::Coordinator(SemiringKind semiring,
     : semiring_(semiring),
       local_(semiring),
       workers_(std::move(workers)),
+      placement_(workers_.size()),
       spawner_(std::move(spawner)),
       logs_(workers_.size()) {
   PVC_CHECK_MSG(!workers_.empty(), "a coordinator needs >= 1 worker");
@@ -199,32 +200,11 @@ void Coordinator::PartitionAndShip(const std::string& name, size_t key_index,
   // kLoadPartition entries in every shard log.
   FlushVars();
 
-  const PvcTable& logical = local_.table(name);
-  std::vector<LoadPartitionMsg> parts(workers_.size());
-  std::string key_name = logical.schema().column(key_index).name;
-  for (size_t s = 0; s < workers_.size(); ++s) {
-    parts[s].table = name;
-    parts[s].key_column = key_name;
-    parts[s].schema = logical.schema();
-  }
-  std::vector<std::pair<uint32_t, uint32_t>> placement;
-  placement.reserve(logical.NumRows());
-  for (size_t i = 0; i < logical.NumRows(); ++i) {
-    size_t s = router_.Route(logical.row(i).cells[key_index],
-                             workers_.size());
-    placement.emplace_back(static_cast<uint32_t>(s),
-                           static_cast<uint32_t>(parts[s].rows.size()));
-    parts[s].rows.push_back(logical.row(i).cells);
-    parts[s].vars.push_back(vars[i]);
-    parts[s].global_rows.push_back(i);
-  }
-  placements_[name] = std::move(placement);
-  key_columns_[name] = key_index;
+  placement_.Place(name, local_.table(name), key_index);
   table_vars_[name] = std::move(vars);
-
   for (size_t s = 0; s < workers_.size(); ++s) {
     // The worker re-seeds its views of a replaced table itself.
-    LogAndShip(s, MsgKind::kLoadPartition, parts[s].Encode());
+    LogAndShip(s, MsgKind::kLoadPartition, PartitionFor(name, s).Encode());
   }
 }
 
@@ -266,30 +246,17 @@ void Coordinator::AddVariableAnnotatedTable(
 
 std::vector<size_t> Coordinator::ShardRowCounts(
     const std::string& name) const {
-  auto it = placements_.find(name);
-  PVC_CHECK_MSG(it != placements_.end(),
-                "no sharded table named '" << name << "'");
-  std::vector<size_t> counts(workers_.size(), 0);
-  for (const auto& [s, r] : it->second) ++counts[s];
-  return counts;
+  return placement_.ShardRowCounts(name);
 }
 
 // -- Mutations --------------------------------------------------------------
 
-void Coordinator::ShipAppendedRow(const std::string& table, size_t key_index,
+void Coordinator::ShipAppendedRow(const std::string& table,
                                   const std::vector<Cell>& cells, VarId var,
                                   size_t global_row) {
   FlushVars();
   table_vars_[table].push_back(var);
-
-  size_t s = router_.Route(cells[key_index], workers_.size());
-  std::vector<std::pair<uint32_t, uint32_t>>& placement = placements_[table];
-  uint32_t shard_row = 0;
-  for (const auto& [ps, pr] : placement) {
-    (void)pr;
-    if (ps == s) ++shard_row;
-  }
-  placement.emplace_back(static_cast<uint32_t>(s), shard_row);
+  size_t s = placement_.Append(table, cells).first;
 
   AppendRowMsg msg;
   msg.table = table;
@@ -301,34 +268,21 @@ void Coordinator::ShipAppendedRow(const std::string& table, size_t key_index,
 
 size_t Coordinator::InsertTuple(const std::string& table,
                                 std::vector<Cell> cells, double p) {
-  auto key_it = key_columns_.find(table);
-  PVC_CHECK_MSG(key_it != key_columns_.end(),
-                "no sharded table named '" << table << "'");
-  PVC_CHECK_MSG(key_it->second < cells.size(), "row is missing its key cell");
+  PVC_CHECK_MSG(placement_.table(table).key_index < cells.size(),
+                "row is missing its key cell");
 
   // The replica replays the unsharded mutation first (fresh Bernoulli
   // variable with the next global id, replica-registered views absorb the
   // delta), then the owning worker gets the routed append.
   VarId x = static_cast<VarId>(local_.variables().size());
   size_t global_row = local_.InsertTuple(table, cells, p);
-  ShipAppendedRow(table, key_it->second, cells, x, global_row);
+  ShipAppendedRow(table, cells, x, global_row);
   return global_row;
 }
 
 void Coordinator::DeleteRowAt(const std::string& table, size_t row_index) {
-  auto it = placements_.find(table);
-  PVC_CHECK_MSG(it != placements_.end(),
-                "no sharded table named '" << table << "'");
-  std::vector<std::pair<uint32_t, uint32_t>>& placement = it->second;
-  PVC_CHECK_MSG(row_index < placement.size(),
-                "row index " << row_index << " out of range");
-  auto [s, shard_row] = placement[row_index];
-
+  auto [s, shard_row] = placement_.Erase(table, row_index);
   local_.DeleteRowAt(table, row_index);
-  placement.erase(placement.begin() + static_cast<ptrdiff_t>(row_index));
-  for (auto& [ps, pr] : placement) {
-    if (ps == s && pr > shard_row) --pr;
-  }
   std::vector<VarId>& vars = table_vars_[table];
   vars.erase(vars.begin() + static_cast<ptrdiff_t>(row_index));
 
@@ -382,13 +336,12 @@ void Coordinator::ApplyRecoveredOp(const WalOp& op) {
       PVC_CHECK_MSG(op.var < local_.variables().size(),
                     "kInsertRow references unregistered variable x"
                         << op.var);
-      auto key_it = key_columns_.find(op.name);
-      PVC_CHECK_MSG(key_it != key_columns_.end(),
+      PVC_CHECK_MSG(placement_.Has(op.name),
                     "kInsertRow for unknown sharded table '" << op.name
                                                              << "'");
       size_t global_row = local_.AppendRowToTable(
           op.name, op.cells, local_.pool().Var(op.var));
-      ShipAppendedRow(op.name, key_it->second, op.cells, op.var, global_row);
+      ShipAppendedRow(op.name, op.cells, op.var, global_row);
       return;
     }
     case WalOpType::kDeleteRow:
@@ -414,17 +367,6 @@ void Coordinator::ApplyRecoveredOp(const WalOp& op) {
 
 // -- Queries ----------------------------------------------------------------
 
-bool Coordinator::Distributable(const Query& q, std::string* driving) const {
-  std::optional<std::string> table = ShardDrivingTable(q);
-  if (!table.has_value() || placements_.count(*table) == 0) return false;
-  if (local_.table(*table).schema().Find(kShardRowIdColumn).has_value()) {
-    return false;
-  }
-  if (QueryMentionsColumn(q, kShardRowIdColumn)) return false;
-  *driving = *table;
-  return true;
-}
-
 QueryRun Coordinator::GatherChainRows(const Schema& schema,
                                       std::vector<ChainResultMsg> replies) {
   std::vector<ChainRow> merged;
@@ -439,9 +381,9 @@ QueryRun Coordinator::GatherChainRows(const Schema& schema,
   QueryRun run;
   run.schema = schema;
   run.distributed = true;
-  // Render through a scratch pool, like ShardedDatabase::ResultToString:
-  // annotations of the distributable fragment are single variables, so the
-  // text matches the replica's rendering exactly.
+  // Render through a scratch pool: annotations of the distributable
+  // fragment are single variables, so the text matches the replica's
+  // rendering exactly.
   ExprPool scratch(semiring_);
   PvcTable gathered{schema};
   run.probabilities.reserve(merged.size());
@@ -464,10 +406,9 @@ QueryRun Coordinator::EvalChainLocally(const Query& q) {
 }
 
 QueryRun Coordinator::Run(const Query& q) {
-  std::string driving;
-  if (Distributable(q, &driving)) {
+  if (std::optional<std::string> driving = placement_.DrivingTable(q, local_)) {
     EvalChainMsg msg;
-    msg.table = driving;
+    msg.table = *driving;
     // Non-owning alias: the message only lives for this call, and Encode
     // just serializes the query.
     msg.query = QueryPtr(&q, [](const Query*) {});
@@ -483,7 +424,7 @@ QueryRun Coordinator::Run(const Query& q) {
     return run;
   }
   // Gather shapes (joins, aggregates, projections, unions) always run on
-  // the replica -- the same division of labor as the in-process facade.
+  // the replica.
   return EvalChainLocally(q);
 }
 
@@ -507,8 +448,8 @@ Coordinator::RemoteView* Coordinator::FindRemoteView(const std::string& name) {
 
 size_t Coordinator::RegisterView(const std::string& name, QueryPtr query,
                                  std::vector<std::string>* warnings) {
-  std::string driving;
-  if (Distributable(*query, &driving)) {
+  if (std::optional<std::string> driving =
+          placement_.DrivingTable(*query, local_)) {
     // Validate the chain on the replica first (bad column names and the
     // like fail here, before any worker state changes; chains intern
     // nothing, so the replica's pool is undisturbed). The row count of the
@@ -518,7 +459,7 @@ size_t Coordinator::RegisterView(const std::string& name, QueryPtr query,
     FlushVars();
     RegisterChainViewMsg msg;
     msg.name = name;
-    msg.table = driving;
+    msg.table = *driving;
     msg.query = query;
     std::string payload = msg.Encode();
     bool complete = true;
@@ -532,10 +473,10 @@ size_t Coordinator::RegisterView(const std::string& name, QueryPtr query,
           DownWarning("view registered; down workers resync on respawn"));
     }
     if (RemoteView* existing = FindRemoteView(name)) {
-      existing->driving = driving;
+      existing->driving = *driving;
       existing->query = query;
     } else {
-      remote_views_.push_back({name, driving, query});
+      remote_views_.push_back({name, *driving, query});
     }
     // Remote chain views never materialize on the replica, so the replica
     // cannot log them: one coordinator-level kRegisterView record covers
@@ -629,10 +570,10 @@ QueryRun Coordinator::PrintView(const std::string& name) {
   return run;
 }
 
-std::vector<ShardedDatabase::ViewInfo> Coordinator::ViewInfos() {
-  std::vector<ShardedDatabase::ViewInfo> infos;
+std::vector<ViewInfo> Coordinator::ViewInfos() {
+  std::vector<ViewInfo> infos;
   for (RemoteView& view : remote_views_) {
-    ShardedDatabase::ViewInfo info;
+    ViewInfo info;
     info.name = view.name;
     info.plan = "chain (per shard)";
     NameMsg msg;
@@ -656,13 +597,7 @@ std::vector<ShardedDatabase::ViewInfo> Coordinator::ViewInfos() {
     infos.push_back(std::move(info));
   }
   for (const std::string& name : local_.ViewNames()) {
-    const MaterializedView& view = local_.views().view(name);
-    ShardedDatabase::ViewInfo info;
-    info.name = name;
-    info.plan = MaterializedView::PlanName(view.plan());
-    info.rows = local_.ViewTable(name).NumRows();
-    info.cache_entries = view.step_two().LiveEntries(local_.ViewTable(name));
-    infos.push_back(std::move(info));
+    infos.push_back(DescribeView(&local_, name));
   }
   return infos;
 }
@@ -670,7 +605,8 @@ std::vector<ShardedDatabase::ViewInfo> Coordinator::ViewInfos() {
 // -- Snapshot-capture hooks -------------------------------------------------
 
 std::string Coordinator::KeyColumnName(const std::string& name) const {
-  return local_.table(name).schema().column(key_columns_.at(name)).name;
+  size_t key_index = placement_.table(name).key_index;
+  return local_.table(name).schema().column(key_index).name;
 }
 
 std::vector<std::pair<std::string, QueryPtr>> Coordinator::ViewCatalog()
@@ -713,14 +649,14 @@ void Coordinator::SendOptionsTo(size_t s) {
 LoadPartitionMsg Coordinator::PartitionFor(const std::string& name,
                                            size_t s) const {
   const PvcTable& logical = local_.table(name);
-  const auto& placement = placements_.at(name);
+  const ShardPlacement::Table& placed = placement_.table(name);
   const std::vector<VarId>& vars = table_vars_.at(name);
   LoadPartitionMsg msg;
   msg.table = name;
-  msg.key_column = logical.schema().column(key_columns_.at(name)).name;
+  msg.key_column = logical.schema().column(placed.key_index).name;
   msg.schema = logical.schema();
-  for (size_t i = 0; i < placement.size(); ++i) {
-    if (placement[i].first != s) continue;
+  for (size_t i = 0; i < placed.slots.size(); ++i) {
+    if (placed.slots[i].first != s) continue;
     msg.rows.push_back(logical.row(i).cells);
     msg.vars.push_back(vars[i]);
     msg.global_rows.push_back(i);
@@ -823,8 +759,8 @@ bool Coordinator::ResyncWorker(size_t s, ResyncStats* stats,
       ship(MsgKind::kSyncVars, msg.Encode());
     }
     // Map order: placement and annotations reproduce the original load.
-    for (const auto& [name, placement] : placements_) {
-      (void)placement;
+    for (const auto& [name, placed] : placement_.tables()) {
+      (void)placed;
       ship(MsgKind::kLoadPartition, PartitionFor(name, s).Encode());
     }
     for (const RemoteView& view : remote_views_) {

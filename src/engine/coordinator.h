@@ -1,18 +1,18 @@
-// Coordinator: the out-of-process counterpart of ShardedDatabase
-// (src/engine/shard.h), driving the same scatter-gather over RemoteShard
-// connections to shard worker processes instead of over in-process shard
-// engines.
+// Coordinator: pvcdb's scatter-gather engine. It drives RemoteShard
+// connections to shard worker processes (src/engine/shard_worker.h), with
+// rows placed on workers by ShardPlacement (src/engine/shard.h).
 //
-// Like the in-process facade, the coordinator keeps a FULL local Database
-// replica that replays exactly the load / interning sequence of an
-// unsharded engine -- the documented 2x memory trade-off that buys
-// bit-identity. Everything that gathers in process (joins, projections,
-// aggregates, unions) evaluates on that replica; only the distributable
-// Select/Rename fragment (ShardDrivingTable) scatters to the workers. The
-// workers compute each surviving row's probability themselves through
+// The coordinator keeps a FULL local Database replica that replays exactly
+// the load / interning sequence of an unsharded engine -- the documented 2x
+// memory trade-off that buys bit-identity. Everything that gathers in
+// process (joins, projections, aggregates, unions) evaluates on that
+// replica; only the distributable Select/Rename fragment
+// (ShardPlacement::DrivingTable) scatters to the workers. The workers
+// compute each surviving row's probability themselves through
 // IsolatedAnnotationDistribution -- the per-row step II pipeline that is
 // independent of pool history -- so the gathered numbers are bit-identical
-// to the in-process scatter at any shard count.
+// to the serial single-database engine (and to ShardedDatabase, the
+// in-process reference) at any shard count.
 //
 // Degraded mode: any transport failure marks that worker down (WorkerDown)
 // and every distributed path falls back to the local replica, with a
@@ -120,9 +120,6 @@ struct QueryRun {
   bool distributed = false;
   PvcTable local_result{Schema{}};
   std::vector<std::string> warnings;  ///< Degraded-mode notices, if any.
-  /// Producer-private state kept alive with the run (the in-process
-  /// backend parks its ShardedResult here for aggregate follow-ups).
-  std::shared_ptr<void> backend_state;
 };
 
 /// Outcome of one worker resync (a respawn or a post-recovery reconcile):
@@ -155,8 +152,8 @@ class Coordinator {
   size_t num_shards() const { return workers_.size(); }
 
   /// The full local replica (catalog, schemas, variable registry). Pool
-  /// state is bit-identical to an in-process ShardedDatabase coordinator
-  /// fed the same command sequence.
+  /// state is bit-identical to an unsharded Database fed the same command
+  /// sequence.
   Database& local() { return local_; }
   const Database& local() const { return local_; }
 
@@ -224,8 +221,8 @@ class Coordinator {
     return local_.table(name).NumRows();
   }
 
-  /// Rows per shard (from the placement map, so it is exact even while
-  /// workers are down).
+  /// Rows per shard (from the placement, so it is exact even while workers
+  /// are down).
   std::vector<size_t> ShardRowCounts(const std::string& name) const;
 
   // -- Mutations (stream through IVM on replica, owning worker, views) ----
@@ -269,7 +266,7 @@ class Coordinator {
 
   /// One diagnostics line per view, remote chain views first (matching
   /// ShardedDatabase::ViewInfos order and plan naming).
-  std::vector<ShardedDatabase::ViewInfo> ViewInfos();
+  std::vector<ViewInfo> ViewInfos();
 
   // -- Worker management --------------------------------------------------
 
@@ -374,9 +371,6 @@ class Coordinator {
     void Clear();
   };
 
-  /// True when `q` can scatter: the same predicate as ShardedDatabase::Run.
-  bool Distributable(const Query& q, std::string* driving) const;
-
   /// Appends one kSyncVars entry covering every not-yet-logged variable to
   /// EVERY shard log (shipping it to live workers), so any data-plane
   /// entry that follows can reference them. No-op when all variables are
@@ -392,17 +386,15 @@ class Coordinator {
   /// when the worker acked.
   bool LogAndShip(size_t s, MsgKind kind, const std::string& payload);
 
-  /// Shared tail of table registration: records placement / key / vars
-  /// bookkeeping for the replica table `name` and ships one kLoadPartition
-  /// per shard.
+  /// Shared tail of table registration: places the replica table `name`,
+  /// records its row variables and ships one kLoadPartition per shard.
   void PartitionAndShip(const std::string& name, size_t key_index,
                         std::vector<VarId> vars);
 
   /// Shared tail of row insertion: placement bookkeeping plus the routed
   /// kAppendRow to the owning shard.
-  void ShipAppendedRow(const std::string& table, size_t key_index,
-                       const std::vector<Cell>& cells, VarId var,
-                       size_t global_row);
+  void ShipAppendedRow(const std::string& table, const std::vector<Cell>& cells,
+                       VarId var, size_t global_row);
 
   /// Brings worker `s` (up, freshly handshaken or reconnected) in line
   /// with its shard log: kReplayTail position probe, then either a
@@ -466,17 +458,13 @@ class Coordinator {
   };
 
   SemiringKind semiring_;
-  FnvShardRouter router_;
   Database local_;
   std::vector<RemoteShard> workers_;
+  ShardPlacement placement_;
   WorkerSpawner spawner_;
   std::vector<ShardLog> logs_;  ///< One applied-mutation log per shard.
   size_t logged_vars_ = 0;      ///< Variables covered by kSyncVars entries.
   bool replaying_ = false;      ///< Recovery replay: log, don't send.
-  /// Per table: global row -> (shard, row within the shard's partition).
-  std::map<std::string, std::vector<std::pair<uint32_t, uint32_t>>>
-      placements_;
-  std::map<std::string, size_t> key_columns_;
   /// Per table: the annotation VarId of every global row (respawn resync).
   std::map<std::string, std::vector<VarId>> table_vars_;
   std::vector<RemoteView> remote_views_;

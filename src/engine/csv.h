@@ -40,8 +40,8 @@ CsvResult LoadCsvTableFromFile(Database* db, const std::string& table_name,
                                const std::string& path);
 
 /// Sharded-catalog overloads: the same format, registered through
-/// ShardedDatabase::AddTupleIndependentTable (hash-partitioned on the
-/// first column; variable creation order matches the unsharded load).
+/// ShardedDatabase::AddTupleIndependentTable (placed by the first column;
+/// variable creation order matches the unsharded load).
 CsvResult LoadCsvTable(ShardedDatabase* db, const std::string& table_name,
                        std::istream& input);
 CsvResult LoadCsvTableFromFile(ShardedDatabase* db,

@@ -21,14 +21,7 @@ Distribution IsolatedAnnotationDistribution(const ExprPool& source,
       .distribution;
 }
 
-Database::Database(SemiringKind semiring)
-    : pool_(semiring), variables_(std::make_shared<VariableTable>()) {}
-
-Database::Database(std::shared_ptr<VariableTable> variables,
-                   SemiringKind semiring)
-    : pool_(semiring), variables_(std::move(variables)) {
-  PVC_CHECK(variables_ != nullptr);
-}
+Database::Database(SemiringKind semiring) : pool_(semiring) {}
 
 void Database::AddTable(const std::string& name, PvcTable table) {
   tables_[name] = std::move(table);
@@ -76,7 +69,7 @@ void Database::AddTupleIndependentTable(
   // mutation -- the fresh variables in creation order plus the table.
   WalRecord record;
   if (wal_ != nullptr) {
-    VarId base = static_cast<VarId>(variables_->size());
+    VarId base = static_cast<VarId>(variables_.size());
     std::vector<VarId> vars;
     vars.reserve(rows.size());
     for (size_t i = 0; i < rows.size(); ++i) {
@@ -90,7 +83,7 @@ void Database::AddTupleIndependentTable(
   }
   PvcTable table{std::move(schema)};
   for (size_t i = 0; i < rows.size(); ++i) {
-    VarId x = variables_->AddBernoulli(probabilities[i],
+    VarId x = variables_.AddBernoulli(probabilities[i],
                                        name + "#" + std::to_string(i));
     table.AddRow(std::move(rows[i]), pool_.Var(x));
   }
@@ -109,7 +102,7 @@ void Database::AddVariableAnnotatedTable(const std::string& name,
   }
   PvcTable table{std::move(schema)};
   for (size_t i = 0; i < rows.size(); ++i) {
-    PVC_CHECK_MSG(vars[i] < variables_->size(),
+    PVC_CHECK_MSG(vars[i] < variables_.size(),
                   "unknown variable id " << vars[i]);
     table.AddRow(std::move(rows[i]), pool_.Var(vars[i]));
   }
@@ -166,9 +159,9 @@ size_t Database::InsertTuple(const std::string& table,
         WalOp::RegisterVariable(table + "#" + std::to_string(t.NumRows()),
                                 Distribution::Bernoulli(p)));
     record.ops.push_back(WalOp::InsertRow(
-        table, cells, static_cast<VarId>(variables_->size())));
+        table, cells, static_cast<VarId>(variables_.size())));
   }
-  VarId x = variables_->AddBernoulli(
+  VarId x = variables_.AddBernoulli(
       p, table + "#" + std::to_string(t.NumRows()));
   size_t index = AppendRowToTable(table, std::move(cells), pool_.Var(x));
   if (wal_ != nullptr) LogWalRecord(wal_, record);
@@ -201,9 +194,9 @@ size_t Database::DeleteTuple(const std::string& table, const Cell& key) {
 
 void Database::UpdateProbability(VarId var, double p) {
   Distribution next = Distribution::Bernoulli(p);
-  bool same_support = SameSupport(variables_->DistributionOf(var), next);
-  variables_->SetDistribution(var, std::move(next));
-  views_.OnVariableUpdate(var, *variables_, pool_.semiring(), same_support);
+  bool same_support = SameSupport(variables_.DistributionOf(var), next);
+  variables_.SetDistribution(var, std::move(next));
+  views_.OnVariableUpdate(var, variables_, pool_.semiring(), same_support);
   if (wal_ != nullptr) {
     WalRecord record;
     record.ops.push_back(WalOp::UpdateProbability(var, p));
@@ -243,8 +236,8 @@ std::vector<double> Database::ViewProbabilities(const std::string& name) {
   // Refresh a stale view before opening the evaluation scope -- the
   // recompute itself only reads tables, never the variable registry.
   views_.Table(name, Context());
-  VariableTable::EvalScope scope(*variables_);
-  return views_.Probabilities(name, *variables_, compile_options_, Context());
+  VariableTable::EvalScope scope(variables_);
+  return views_.Probabilities(name, variables_, compile_options_, Context());
 }
 
 PvcTable Database::Run(const Query& q) {
@@ -267,11 +260,11 @@ PvcTable Database::RunDeterministic(const Query& q) {
 }
 
 Distribution Database::DistributionOfExpr(ExprId e) {
-  VariableTable::EvalScope scope(*variables_);
-  DTree tree = CompileToDTree(&pool_, variables_.get(), e, compile_options_);
+  VariableTable::EvalScope scope(variables_);
+  DTree tree = CompileToDTree(&pool_, &variables_, e, compile_options_);
   ProbabilityOptions popts;
   popts.num_threads = eval_options_.intra_tree_threads;
-  return ComputeDistribution(tree, *variables_, pool_.semiring(), popts);
+  return ComputeDistribution(tree, variables_, pool_.semiring(), popts);
 }
 
 double Database::TupleProbability(const Row& row) {
@@ -284,13 +277,13 @@ Distribution Database::AnnotationDistribution(const Row& row) {
 
 std::vector<Distribution> Database::AnnotationDistributions(
     const PvcTable& table) {
-  VariableTable::EvalScope scope(*variables_);
+  VariableTable::EvalScope scope(variables_);
   std::vector<Distribution> out(table.NumRows());
   // Each row clones its annotation into a task-private pool, so the shared
   // pool is only read and the per-row pipeline is identical on the serial
   // and the threaded path.
   ParallelFor(eval_options_.num_threads, table.NumRows(), [&](size_t i) {
-    out[i] = IsolatedAnnotationDistribution(pool_, *variables_,
+    out[i] = IsolatedAnnotationDistribution(pool_, variables_,
                                             table.row(i).annotation,
                                             compile_options_,
                                             eval_options_.intra_tree_threads);
@@ -310,11 +303,11 @@ std::vector<double> Database::TupleProbabilities(const PvcTable& table) {
 
 std::vector<ProbabilityBounds> Database::ApproximateTupleProbabilities(
     const PvcTable& table, ApproximateOptions options) {
-  VariableTable::EvalScope scope(*variables_);
+  VariableTable::EvalScope scope(variables_);
   std::vector<ExprId> annotations;
   annotations.reserve(table.NumRows());
   for (const Row& row : table.rows()) annotations.push_back(row.annotation);
-  return ApproximateBatch(pool_, *variables_, annotations, options,
+  return ApproximateBatch(pool_, variables_, annotations, options,
                           eval_options_.num_threads);
 }
 
@@ -332,15 +325,15 @@ Distribution Database::ConditionalAggregateDistribution(
   const Cell& cell = table.CellAt(row_index, column);
   PVC_CHECK_MSG(cell.type() == CellType::kAggExpr,
                 "'" << column << "' is not an aggregation column");
-  VariableTable::EvalScope scope(*variables_);
+  VariableTable::EvalScope scope(variables_);
   return pvcdb::ConditionalAggregateDistribution(
-      &pool_, *variables_, cell.AsAgg(), table.row(row_index).annotation,
+      &pool_, variables_, cell.AsAgg(), table.row(row_index).annotation,
       compile_options_);
 }
 
 JointDistribution Database::RowJointDistribution(const PvcTable& table,
                                                  size_t row_index) {
-  VariableTable::EvalScope scope(*variables_);
+  VariableTable::EvalScope scope(variables_);
   const Row& row = table.row(row_index);
   std::vector<ExprId> exprs;
   for (size_t i = 0; i < table.schema().NumColumns(); ++i) {
@@ -349,7 +342,7 @@ JointDistribution Database::RowJointDistribution(const PvcTable& table,
     }
   }
   exprs.push_back(row.annotation);
-  return ComputeJointDistribution(&pool_, *variables_, exprs,
+  return ComputeJointDistribution(&pool_, variables_, exprs,
                                   compile_options_);
 }
 

@@ -31,9 +31,9 @@ class WalWriter;
 struct WalRecord;
 
 /// The per-row step II pipeline used by every batch probability pass, in
-/// Database and ShardedDatabase alike: clone the annotation from `source`
+/// Database and the shard workers alike: clone the annotation from `source`
 /// into a task-private pool, compile it, run the bottom-up probability
-/// pass. Both facades must call this one function -- the sharded engine's
+/// pass. Both must call this one function -- the sharded engine's
 /// bit-identity contract depends on the pipelines not drifting apart.
 /// `source` is only read, so concurrent calls against one pool are safe.
 /// `intra_tree_threads` fans the probability pass across subtrees of this
@@ -51,27 +51,13 @@ class Database {
  public:
   explicit Database(SemiringKind semiring = SemiringKind::kBool);
 
-  /// Load hook for multi-instance topologies (see src/engine/shard.h): a
-  /// database whose variable registry is shared with other engine
-  /// instances, so VarIds -- and hence correlations between annotations
-  /// held by different instances -- stay globally scoped. The shared table
-  /// must only be mutated while no instance is evaluating; the probability
-  /// methods mark in-flight evaluations with VariableTable::EvalScope, and
-  /// debug builds assert the contract on every mutation.
-  Database(std::shared_ptr<VariableTable> variables, SemiringKind semiring);
-
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
   ExprPool& pool() { return pool_; }
   const ExprPool& pool() const { return pool_; }
-  VariableTable& variables() { return *variables_; }
-  const VariableTable& variables() const { return *variables_; }
-  /// The variable registry as a shareable handle (export hook for sharded
-  /// catalogs that wire several databases over one probability space).
-  const std::shared_ptr<VariableTable>& shared_variables() const {
-    return variables_;
-  }
+  VariableTable& variables() { return variables_; }
+  const VariableTable& variables() const { return variables_; }
   const Semiring& semiring() const { return pool_.semiring(); }
 
   /// D-tree compilation knobs used by the probability methods.
@@ -133,8 +119,8 @@ class Database {
                      double p);
 
   /// Low-level catalog hook: appends a row annotated with an existing
-  /// expression (sharded catalogs re-intern a shared variable; see
-  /// src/engine/shard.h). Routes the delta through the views.
+  /// expression (WAL replay re-interns a logged variable). Routes the delta
+  /// through the views.
   size_t AppendRowToTable(const std::string& table, std::vector<Cell> cells,
                           ExprId annotation);
 
@@ -229,7 +215,7 @@ class Database {
   ViewContext Context();
 
   ExprPool pool_;
-  std::shared_ptr<VariableTable> variables_;
+  VariableTable variables_;
   std::map<std::string, PvcTable> tables_;
   CompileOptions compile_options_;
   EvalOptions eval_options_;

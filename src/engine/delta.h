@@ -87,8 +87,8 @@ CompiledDistribution IsolatedCompileAndDistribution(
 /// condition under which a cached d-tree survives a distribution update.
 bool SameSupport(const Distribution& a, const Distribution& b);
 
-/// The shared delete-by-key scan of Database::DeleteTuple and
-/// ShardedDatabase::DeleteTuple: invokes `delete_at` for every row of
+/// The shared delete-by-key scan of Database, ShardedDatabase and
+/// Coordinator::DeleteTuple: invokes `delete_at` for every row of
 /// `table` whose first-column cell equals `key`, in descending index
 /// order (so earlier hit indices stay valid across the deletes). Returns
 /// the number of rows deleted.

@@ -2,7 +2,7 @@
 // (src/engine/shard_worker.h). One connected socket, strict one-request /
 // one-reply sequencing, plus a split send/receive pair so the coordinator
 // can scatter a request to every live worker before collecting any reply
-// (the parallel fan-out of Coordinator::EvalDistributed).
+// (the parallel fan-out of Coordinator::Scatter).
 //
 // Failure semantics: any transport failure -- send error, torn frame, CRC
 // mismatch, peer close, or a deadline expiry under RpcOptions -- marks the

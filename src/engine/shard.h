@@ -1,50 +1,29 @@
-// Sharded databases: tables hash-partitioned by key across N inner
-// Database shards, with scatter-gather evaluation (engineering extension;
-// the paper's tuple-independent model makes per-tuple step II work
-// embarrassingly parallel across partitions, and partitioning decides
-// *where* each tuple's work runs).
+// Shard placement and the in-process sharded facade. The paper's
+// tuple-independent model makes per-tuple step II work independent, so a
+// table's rows can be spread over shards without changing any probability.
 //
-// Topology and contracts:
+// ShardPlacement is the one record of which shard owns which row: FNV-1a
+// over the row's key cell (Cell::StableHash) modulo the shard count, a pure
+// function of (key, N) that agrees across processes and reloads. It also
+// decides which queries scatter: Select/Rename chains over one placed table
+// (ShardDrivingTable) map each row to at most one row and leave annotations
+// untouched. The Coordinator (src/engine/coordinator.h), pvcdb's one
+// scatter-gather engine, partitions tables and routes deltas with it.
 //
-//  - One shared VariableTable (Database's shared-variables load hook):
-//    random-variable ids are globally scoped, so annotations that mention
-//    variables owned by different shards -- join results, cross-shard
-//    aggregates -- keep their correlations intact.
-//  - Tables are hash-partitioned on a key column through a pluggable
-//    ShardRouter (default: FNV-1a on the primary key, the table's first
-//    column). Partitions preserve global row order within each shard.
-//  - A coordinator Database holds the gathered logical tables and replays
-//    exactly the load/interning sequence of an unsharded engine. This is a
-//    deliberate trade-off: keeping a full coordinator copy (2x memory;
-//    up to 3x for tables serving distributed plans, whose
-//    provenance-extended partitions are cached) is what makes cross-shard
-//    operators bit-identical to the unsharded engine. Out-of-process shards and a copy-free coordinator require
-//    relaxing bitwise identity to epsilon agreement for cross-shard
-//    merges -- the ROADMAP names that as the follow-up.
-//
-// Every public result is *bit-identical* to the single-database engine at
-// any shard count and any thread count:
-//
-//  - Step I scatter: Select/Rename chains over one sharded table (the
-//    fragment of ShardDrivingTable) evaluate per shard against that
-//    shard's partition -- annotations pass through these operators
-//    untouched, so shard-local evaluation plus a deterministic merge on
-//    driving-row order reproduces the unsharded result exactly. All other
-//    queries (joins, projections, unions, aggregates merge rows across
-//    partitions) gather to the coordinator, whose pool state matches the
-//    unsharded engine's bit for bit.
-//  - Step II scatter: the batch probability passes fan result rows across
-//    PR 2's ThreadPool; each row clones its annotation from the pool of
-//    the engine that produced it into a task-private ExprPool and runs the
-//    identical compile + probability pipeline, and the gather writes
-//    results in global row order (shard-index order within each table).
+// ShardedDatabase is the in-process reference: one Database that every
+// evaluation, mutation, view and step II pass delegates to, plus the
+// placement that gives shard-aware surfaces (`tables` per-shard counts, the
+// "chain (per shard)" view plan, snapshot key columns) the Coordinator's
+// answers. Its results are the serial single-database engine's -- the
+// oracle every sharded and threaded path must match bit for bit.
+// Parallelism comes from EvalOptions::num_threads, as on a plain Database.
 
 #ifndef PVCDB_ENGINE_SHARD_H_
 #define PVCDB_ENGINE_SHARD_H_
 
 #include <cstdint>
 #include <map>
-#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,161 +32,154 @@
 
 namespace pvcdb {
 
-/// Hidden provenance column carried through distributed step I plans so the
-/// gather can merge per-shard results back into global row order. Queries
-/// mentioning this name fall back to the coordinator. Shared with the
-/// out-of-process worker (src/engine/shard_worker.h), which must augment
-/// its partitions with the identical column name.
+/// Hidden provenance column carried through a shard worker's chain
+/// evaluation (src/engine/shard_worker.h) so the gather can merge per-shard
+/// results back into global row order. Tables or queries using this name
+/// never scatter.
 extern const char kShardRowIdColumn[];
 
-/// Routing policy: which shard owns a row, given its key cell. Routes must
-/// be pure functions of (key, num_shards) -- placement is recomputed on
-/// reload and must agree across processes.
-class ShardRouter {
+/// Row placement of every sharded table: FNV-1a routing on a key column,
+/// global row -> (shard, row within the shard's partition), and per-shard
+/// row counts. Partitions are order-preserving subsequences of the table.
+class ShardPlacement {
  public:
-  virtual ~ShardRouter() = default;
+  /// (shard, row within the shard's partition) of one global row.
+  using Slot = std::pair<uint32_t, uint32_t>;
 
-  /// Shard index in [0, num_shards) for a row with key cell `key`.
-  virtual size_t Route(const Cell& key, size_t num_shards) const = 0;
+  struct Table {
+    size_t key_index = 0;        ///< Column rows are routed by.
+    std::vector<Slot> slots;     ///< Per global row, in table order.
+    std::vector<size_t> counts;  ///< Rows per shard.
+  };
 
-  /// Human-readable policy name (diagnostics / shell output).
-  virtual std::string name() const = 0;
-};
+  explicit ShardPlacement(size_t num_shards);
 
-/// Default router: platform-independent FNV-1a over the key cell's
-/// canonical bytes (Cell::StableHash), modulo the shard count.
-class FnvShardRouter : public ShardRouter {
- public:
-  size_t Route(const Cell& key, size_t num_shards) const override;
-  std::string name() const override { return "fnv1a"; }
-};
+  size_t num_shards() const { return num_shards_; }
 
-/// Integer-key router: key % num_shards. Placement is obvious from the
-/// data, which makes tests and skew experiments easy to set up.
-class ModuloShardRouter : public ShardRouter {
- public:
-  size_t Route(const Cell& key, size_t num_shards) const override;
-  std::string name() const override { return "modulo"; }
-};
+  /// Shard owning a row with key cell `key`.
+  size_t Route(const Cell& key) const;
 
-/// A query result over a sharded database: row partitions that live in the
-/// pools of the engines that produced them (the N shards for distributed
-/// plans, the coordinator otherwise), plus the global row order. Pass it
-/// back to the ShardedDatabase batch methods for probabilities; the cells
-/// are readable directly.
-class ShardedResult {
- public:
-  const Schema& schema() const { return schema_; }
-  size_t NumRows() const { return order_.size(); }
+  /// (Re)places every row of `table` under `name`, routed by the cell in
+  /// column `key_index`.
+  void Place(const std::string& name, const PvcTable& table,
+             size_t key_index);
 
-  /// Data cells of global row `i`.
-  const std::vector<Cell>& cells(size_t i) const;
+  bool Has(const std::string& name) const { return tables_.count(name) > 0; }
+  const Table& table(const std::string& name) const;
+  /// Every placed table, by name.
+  const std::map<std::string, Table>& tables() const { return tables_; }
 
-  /// True when the rows live on the shards (distributed step I plan);
-  /// false when they live on the coordinator.
-  bool distributed() const { return distributed_; }
+  /// Places a row appended at the end of `name` (O(1)); returns its slot.
+  Slot Append(const std::string& name, const std::vector<Cell>& cells);
+
+  /// Removes global row `row` of `name`; later rows of the same shard move
+  /// down one partition row. Returns the removed row's slot.
+  Slot Erase(const std::string& name, size_t row);
+
+  /// Rows per shard of `name` (sums to the table's row count).
+  std::vector<size_t> ShardRowCounts(const std::string& name) const;
+
+  /// The table `q` scatters over, or nullopt when it must evaluate on the
+  /// full catalog: `q` is a Select/Rename chain over a placed table, and
+  /// neither the table nor the query uses kShardRowIdColumn.
+  std::optional<std::string> DrivingTable(const Query& q,
+                                          const Database& catalog) const;
 
  private:
-  friend class ShardedDatabase;
+  Table& Mutable(const std::string& name);
 
-  Schema schema_;
-  std::vector<PvcTable> parts_;  ///< Per shard, or a single coordinator part.
-  bool distributed_ = false;
-  /// Global row order: (part index, row index within the part).
-  std::vector<std::pair<uint32_t, uint32_t>> order_;
+  size_t num_shards_;
+  std::map<std::string, Table> tables_;
 };
 
-/// A database hash-partitioned across `num_shards` inner Databases over one
-/// shared probability space. See the file comment for the semantics; the
-/// API mirrors the Database facade.
+/// The `views` diagnostics line of one view.
+struct ViewInfo {
+  std::string name;
+  std::string plan;  ///< "chain (per shard)" or the view's plan name.
+  size_t rows = 0;
+  size_t cache_entries = 0;  ///< Live step II cache entries.
+};
+
+/// ViewInfo of the view `name` registered on `db` (refreshes a stale
+/// view's result).
+ViewInfo DescribeView(Database* db, const std::string& name);
+
+/// A database whose tables are placed across `num_shards` shards, over one
+/// Database that does all the work. See the file comment; the API mirrors
+/// the Database facade.
 class ShardedDatabase {
  public:
-  /// `router` defaults to FnvShardRouter.
+  using ViewInfo = ::pvcdb::ViewInfo;
+
   explicit ShardedDatabase(size_t num_shards,
-                           SemiringKind semiring = SemiringKind::kBool,
-                           std::unique_ptr<ShardRouter> router = nullptr);
+                           SemiringKind semiring = SemiringKind::kBool);
 
-  ShardedDatabase(const ShardedDatabase&) = delete;
-  ShardedDatabase& operator=(const ShardedDatabase&) = delete;
+  size_t num_shards() const { return placement_.num_shards(); }
+  const ShardPlacement& placement() const { return placement_; }
 
-  size_t num_shards() const { return shards_.size(); }
-  const ShardRouter& router() const { return *router_; }
-
-  /// The shared variable registry (one probability space for all shards).
   VariableTable& variables() { return coordinator_.variables(); }
   const VariableTable& variables() const { return coordinator_.variables(); }
-
-  /// Engine-wide knobs, mirrored to every shard before each scatter.
   EvalOptions& eval_options() { return coordinator_.eval_options(); }
   const EvalOptions& eval_options() const {
     return coordinator_.eval_options();
   }
   CompileOptions& compile_options() { return coordinator_.compile_options(); }
 
-  /// The coordinator: gathered logical tables, bit-identical to an
-  /// unsharded Database loaded with the same sequence.
+  /// The one Database every call delegates to.
   Database& coordinator() { return coordinator_; }
   const Database& coordinator() const { return coordinator_; }
 
-  /// Durability hook (src/engine/wal.h): attaches the writer to the
-  /// coordinator, through which every mutation routes -- so inserts,
-  /// deletes and probability updates log exactly like the unsharded
-  /// engine's. Table loads and view registration log at this level (they
-  /// carry sharded-only state: the routing key column, per-shard views).
+  /// Durability hook (src/engine/wal.h): the coordinator logs every
+  /// mutation and view registration; table loads log here, because their
+  /// record carries the routing key column.
   void set_wal(WalWriter* wal) { coordinator_.set_wal(wal); }
   WalWriter* wal() const { return coordinator_.wal(); }
 
-  /// Shard `s`'s engine (partition tables + shard-local pool).
-  const Database& shard(size_t s) const;
-
   // -- Catalog ------------------------------------------------------------
 
-  /// Registers a tuple-independent table: one fresh Bernoulli variable per
-  /// row, created in global row order (ids identical to an unsharded
-  /// load), rows routed to shards by the cell in `key_column` (default:
-  /// the first column, the conventional primary key).
+  /// Registers a tuple-independent table (fresh Bernoulli variables in row
+  /// order, as an unsharded load), placed by the cell in `key_column`
+  /// (default: the first column, the conventional primary key).
   void AddTupleIndependentTable(const std::string& name, Schema schema,
                                 std::vector<std::vector<Cell>> rows,
                                 std::vector<double> probabilities,
                                 const std::string& key_column = "");
 
-  /// Rebuild / replication hook mirroring
-  /// Database::AddVariableAnnotatedTable: rows annotated by *existing*
-  /// variables of the shared registry, routed by `key_column`.
+  /// Rebuild hook mirroring Database::AddVariableAnnotatedTable, placed by
+  /// `key_column`.
   void AddVariableAnnotatedTable(const std::string& name, Schema schema,
                                  std::vector<std::vector<Cell>> rows,
                                  const std::vector<VarId>& vars,
                                  const std::string& key_column = "");
 
-  bool HasTable(const std::string& name) const;
-  std::vector<std::string> TableNames() const;
-  size_t NumRows(const std::string& name) const;
+  bool HasTable(const std::string& name) const {
+    return coordinator_.HasTable(name);
+  }
+  std::vector<std::string> TableNames() const {
+    return coordinator_.TableNames();
+  }
+  size_t NumRows(const std::string& name) const {
+    return coordinator_.table(name).NumRows();
+  }
 
-  /// Name of the column rows of `name` are routed by (capture hook for
-  /// snapshots: reloading with this key reproduces the placement).
+  /// Name of the column rows of `name` are placed by (snapshot capture:
+  /// reloading with this key reproduces the placement).
   std::string KeyColumnName(const std::string& name) const;
 
   /// Rows per shard for `name` (skew diagnostics; sums to NumRows).
-  std::vector<size_t> ShardRowCounts(const std::string& name) const;
+  std::vector<size_t> ShardRowCounts(const std::string& name) const {
+    return placement_.ShardRowCounts(name);
+  }
 
   // -- Mutations (the IVM delta engine; see src/engine/view.h) --------------
-  //
-  // Deltas route through the ShardRouter exactly like the initial load:
-  // the coordinator replays the unsharded mutation (shared variable
-  // creation in global row order, coordinator view maintenance), the
-  // owning shard's partition and the placement map stay consistent, and
-  // per-shard views absorb the delta locally. All results remain
-  // bit-identical to a from-scratch sharded rebuild of the final state.
 
-  /// Appends a tuple with a fresh Bernoulli variable; the row is routed by
-  /// its key-column cell. Returns the new global row index.
+  /// Appends a tuple with a fresh Bernoulli variable, placed by its key
+  /// cell. Returns the new global row index.
   size_t InsertTuple(const std::string& table, std::vector<Cell> cells,
                      double p);
 
   /// Replay hook mirroring Database::AppendRowToTable: appends a row
-  /// annotated with the *existing* shared variable `var`, routed exactly
-  /// like InsertTuple. Never writes to the WAL (it is what WAL replay
-  /// calls).
+  /// annotated with the existing variable `var`. Never writes to the WAL.
   size_t AppendRowToTable(const std::string& table, std::vector<Cell> cells,
                           VarId var);
 
@@ -218,184 +190,99 @@ class ShardedDatabase {
   /// number of rows removed.
   size_t DeleteTuple(const std::string& table, const Cell& key);
 
-  /// Replaces variable `var`'s distribution with Bernoulli(p) and
-  /// refreshes / drops the affected cached step II results everywhere.
-  void UpdateProbability(VarId var, double p);
+  void UpdateProbability(VarId var, double p) {
+    coordinator_.UpdateProbability(var, p);
+  }
 
   // -- Materialized views (src/engine/view.h) -------------------------------
-  //
-  // The distributable Select/Rename fragment is cached *per shard*: each
-  // shard keeps its partition of the view plus its own step II cache, and
-  // deltas touch only the owning shard. Every other query shape registers
-  // on the coordinator's ViewRegistry (which replays the unsharded engine
-  // bit for bit).
 
-  void RegisterView(const std::string& name, QueryPtr query);
-  bool HasView(const std::string& name) const;
-  void DropView(const std::string& name);
+  const PvcTable& RegisterView(const std::string& name, QueryPtr query) {
+    return coordinator_.RegisterView(name, std::move(query));
+  }
+  bool HasView(const std::string& name) const {
+    return coordinator_.HasView(name);
+  }
+  void DropView(const std::string& name) { coordinator_.DropView(name); }
+
+  /// View names, chain views (those a shard tier maintains per shard)
+  /// first, each group in registration order.
   std::vector<std::string> ViewNames() const;
 
-  /// (name, query) of every registered view, per-shard views first --
-  /// the order snapshot capture records and recovery re-registers them in
-  /// (the two registries intern into disjoint pools, so this order is
-  /// bit-identity-safe regardless of original interleaving).
+  /// (name, query) of every view in ViewNames() order: the order snapshot
+  /// capture records and recovery re-registers them in.
   std::vector<std::pair<std::string, QueryPtr>> ViewCatalog() const;
 
-  /// Snapshot of the view's cached step I result in global row order.
-  ShardedResult ViewResult(const std::string& name);
+  /// The view's cached step I result.
+  PvcTable ViewResult(const std::string& name) {
+    return coordinator_.ViewTable(name);
+  }
 
-  /// Cached per-row P[Phi != 0_S] of the view in global row order,
-  /// bit-identical to TupleProbabilities(ViewResult(name)).
-  std::vector<double> ViewProbabilities(const std::string& name);
+  /// Cached per-row P[Phi != 0_S] of the view.
+  std::vector<double> ViewProbabilities(const std::string& name) {
+    return coordinator_.ViewProbabilities(name);
+  }
 
-  /// One diagnostics line per registered view (shell `views` command).
-  struct ViewInfo {
-    std::string name;
-    std::string plan;  ///< "chain (per shard)" or the coordinator plan.
-    size_t rows = 0;
-    size_t cache_entries = 0;  ///< Step II cache entries (all shards).
-  };
+  /// One diagnostics line per view, in ViewNames() order; chain views carry
+  /// the plan "chain (per shard)", as on the Coordinator.
   std::vector<ViewInfo> ViewInfos();
 
-  // -- Step I: computing result tuples ------------------------------------
+  // -- Step I ---------------------------------------------------------------
 
-  /// Evaluates `q`: per shard for the distributable fragment
-  /// (ShardDrivingTable over a sharded table), on the coordinator
-  /// otherwise. Identical rows in identical order either way.
-  ShardedResult Run(const Query& q);
+  PvcTable Run(const Query& q) { return coordinator_.Run(q); }
+  PvcTable RunDeterministic(const Query& q) {
+    return coordinator_.RunDeterministic(q);
+  }
 
-  /// The Q0 deterministic baseline (always coordinator-evaluated:
-  /// annotations fold to constants, there is nothing to distribute).
-  ShardedResult RunDeterministic(const Query& q);
+  // -- Step II: batch passes, fanned across eval_options().num_threads ------
 
-  // -- Step II: scatter-gather probability passes --------------------------
-
-  /// P[Phi != 0_S] per row of `result`, in global row order.
-  std::vector<double> TupleProbabilities(const ShardedResult& result);
-
-  /// Annotation distribution per row of `result`, in global row order.
-  std::vector<Distribution> AnnotationDistributions(
-      const ShardedResult& result);
-
-  /// Interval bounds per row of `result` (Boolean semiring only).
+  std::vector<double> TupleProbabilities(const PvcTable& result) {
+    return coordinator_.TupleProbabilities(result);
+  }
+  std::vector<Distribution> AnnotationDistributions(const PvcTable& result) {
+    return coordinator_.AnnotationDistributions(result);
+  }
   std::vector<ProbabilityBounds> ApproximateTupleProbabilities(
-      const ShardedResult& result,
-      ApproximateOptions options = ApproximateOptions());
+      const PvcTable& result,
+      ApproximateOptions options = ApproximateOptions()) {
+    return coordinator_.ApproximateTupleProbabilities(result, options);
+  }
 
-  /// Base-table overloads: the same passes over the partitions of the
-  /// sharded table `name`, each shard's rows computed from its own pool.
-  std::vector<double> TupleProbabilities(const std::string& name);
-  std::vector<Distribution> AnnotationDistributions(const std::string& name);
+  /// Base-table overloads: the same passes over the table `name`.
+  std::vector<double> TupleProbabilities(const std::string& name) {
+    return TupleProbabilities(coordinator_.table(name));
+  }
+  std::vector<Distribution> AnnotationDistributions(const std::string& name) {
+    return AnnotationDistributions(coordinator_.table(name));
+  }
   std::vector<ProbabilityBounds> ApproximateTupleProbabilities(
       const std::string& name,
-      ApproximateOptions options = ApproximateOptions());
+      ApproximateOptions options = ApproximateOptions()) {
+    return ApproximateTupleProbabilities(coordinator_.table(name), options);
+  }
 
-  /// P[alpha = v | Phi != 0_S] for an aggregation column of a
-  /// coordinator-evaluated result (aggregates always gather, so
-  /// distributed results have no aggregation columns).
-  Distribution ConditionalAggregateDistribution(const ShardedResult& result,
+  /// P[alpha = v | Phi != 0_S] for an aggregation column of `result`.
+  Distribution ConditionalAggregateDistribution(const PvcTable& result,
                                                 size_t row_index,
-                                                const std::string& column);
+                                                const std::string& column) {
+    return coordinator_.ConditionalAggregateDistribution(result, row_index,
+                                                         column);
+  }
 
-  /// Tabular rendering of a result in global row order (annotations are
-  /// rendered through a scratch pool; probabilities are unaffected).
-  std::string ResultToString(const ShardedResult& result) const;
+  /// Tabular rendering of a result.
+  std::string ResultToString(const PvcTable& result) const {
+    return result.ToString(&coordinator_.pool());
+  }
 
  private:
-  /// One row partition and the pool its annotations live in.
-  struct PartRef {
-    const PvcTable* table;
-    const ExprPool* pool;
-  };
+  /// True when view `name` is a chain view (see ViewNames).
+  bool IsChainView(const std::string& name) const;
 
-  /// A per-shard materialized view of the distributable fragment: the
-  /// shard partitions of the result, their global row provenance, and one
-  /// step II cache per shard (annotation ids are pool-local).
-  struct ShardedView {
-    std::string name;
-    QueryPtr query;
-    std::string driving;  ///< The sharded base table the chain scans.
-    Schema schema;        ///< Output schema (provenance column stripped).
-    std::vector<PvcTable> parts;
-    /// Per shard: the global driving-row index of each part row
-    /// (ascending).
-    std::vector<std::vector<int64_t>> global;
-    /// Global row order: (shard, row within the shard's part), ascending
-    /// by global driving-row index.
-    std::vector<std::pair<uint32_t, uint32_t>> order;
-    std::vector<StepTwoCache> caches;  ///< One per shard.
-  };
+  /// Places the coordinator's freshly (re)loaded `name`, logging `record`.
+  void PlaceLoadedTable(const std::string& name, size_t key_index,
+                        const WalRecord& record);
 
-  /// The distributed step I evaluation shared by Run() and the per-shard
-  /// view seed: per-shard results of the chain with global provenance.
-  struct DistributedParts {
-    Schema schema;
-    std::vector<PvcTable> parts;
-    std::vector<std::vector<int64_t>> global;
-    std::vector<std::pair<uint32_t, uint32_t>> order;
-  };
-  DistributedParts EvalDistributed(const Query& q, const std::string& table);
-
-  /// Partitions the coordinator's freshly (re)loaded `name` across the
-  /// shards (each row annotated by `vars[i]` re-interned into its shard's
-  /// pool) and refreshes placement, key column and dependent caches.
-  void PartitionLoadedTable(const std::string& name, size_t key_index,
-                            const std::vector<VarId>& vars);
-
-  /// The routing + bookkeeping tail shared by InsertTuple and
-  /// AppendRowToTable: sends the already-appended coordinator row to its
-  /// shard and updates placement, caches and per-shard views.
-  void RouteAppendedRow(const std::string& table, size_t key_index,
-                        const std::vector<Cell>& cells, VarId var,
-                        size_t global_row);
-
-  ShardedView* FindShardedView(const std::string& name);
-  /// Builds / rebuilds `view`'s cached parts from the current partitions.
-  void SeedShardedView(ShardedView* view);
-  void ApplyShardedViewInsert(ShardedView* view, size_t shard,
-                              size_t global_row, const std::vector<Cell>& cells,
-                              ExprId shard_annotation);
-  void ApplyShardedViewDelete(ShardedView* view, size_t global_row);
-
-  std::vector<PartRef> PartsOf(const ShardedResult& result) const;
-  std::vector<PartRef> PartsOfTable(const std::string& name) const;
-  const std::vector<std::pair<uint32_t, uint32_t>>& PlacementOf(
-      const std::string& name) const;
-
-  ShardedResult CoordinatorResult(PvcTable table) const;
-  ShardedResult RunDistributed(const Query& q, const std::string& table);
-
-  /// The table's partitions extended with the hidden provenance column,
-  /// built on first use and cached until the table is replaced.
-  const std::vector<PvcTable>& AugmentedPartitionsOf(
-      const std::string& table);
-
-  /// Copies the engine-wide knobs onto every shard (serial; called before
-  /// each scatter so option mutations through eval_options() take effect
-  /// everywhere).
-  void SyncShardOptions();
-
-  std::vector<Distribution> DistributionsImpl(
-      const std::vector<PartRef>& parts,
-      const std::vector<std::pair<uint32_t, uint32_t>>& order);
-  std::vector<ProbabilityBounds> ApproximateImpl(
-      const std::vector<PartRef>& parts,
-      const std::vector<std::pair<uint32_t, uint32_t>>& order,
-      ApproximateOptions options);
-
-  std::unique_ptr<ShardRouter> router_;
   Database coordinator_;
-  std::vector<std::unique_ptr<Database>> shards_;
-  /// Per table: global row -> (shard, row within the shard's partition).
-  std::map<std::string, std::vector<std::pair<uint32_t, uint32_t>>>
-      placements_;
-  /// Per table: the key column rows are routed by (insert deltas must use
-  /// the load-time routing).
-  std::map<std::string, size_t> key_columns_;
-  /// Per table: partitions + provenance column for distributed plans.
-  std::map<std::string, std::vector<PvcTable>> augmented_cache_;
-  /// Per-shard views of the distributable fragment, registration order.
-  std::vector<std::unique_ptr<ShardedView>> sharded_views_;
+  ShardPlacement placement_;
 };
 
 }  // namespace pvcdb

@@ -83,8 +83,8 @@ void ShardWorker::HandleSyncVars(const SyncVarsMsg& msg) {
 void ShardWorker::HandleUpdateVar(const UpdateVarMsg& msg) {
   PVC_CHECK_MSG(msg.var < db_->variables().size(),
                 "unknown variable id " << msg.var);
-  // The same refresh-or-drop decision ShardedDatabase::UpdateProbability
-  // makes for its per-shard view caches.
+  // The same refresh-or-drop decision Database::UpdateProbability makes
+  // for its view caches.
   bool same_support = SameSupport(db_->variables().DistributionOf(msg.var),
                                   Distribution::Bernoulli(msg.probability));
   db_->UpdateProbability(msg.var, msg.probability);
@@ -153,8 +153,8 @@ void ShardWorker::HandleDeleteRow(const DeleteRowMsg& msg) {
     state.global.erase(state.global.begin() +
                        static_cast<ptrdiff_t>(msg.local_row));
   }
-  // Every worker shifts ids above the deleted global row -- the broadcast
-  // half of ShardedDatabase::DeleteRowAt.
+  // Every worker shifts ids above the deleted global row (the coordinator
+  // broadcasts every delete).
   for (int64_t& id : state.global) {
     if (id > g) --id;
   }
@@ -224,7 +224,7 @@ ChainResultMsg ShardWorker::HandleEvalChain(const EvalChainMsg& msg) {
 
   // Step II per surviving row: the shared pipeline, so the probability is
   // independent of this worker's pool history (bit-identity with the
-  // in-process scatter).
+  // serial single-database engine).
   VariableTable::EvalScope scope(db_->variables());
   ChainResultMsg reply;
   reply.schema = schema;
@@ -291,8 +291,8 @@ uint64_t ShardWorker::HandleRegisterChainView(RegisterChainViewMsg msg) {
   view->query = std::move(msg.query);
   SeedView(view.get());
   uint64_t rows = view->part.NumRows();
-  // Build-then-replace, like ShardedDatabase::RegisterView: a failed seed
-  // above leaves any existing view of the name untouched.
+  // Build-then-replace, like ViewRegistry::Register: a failed seed above
+  // leaves any existing view of the name untouched.
   for (auto it = views_.begin(); it != views_.end(); ++it) {
     if ((*it)->name == view->name) {
       *it = std::move(view);
@@ -306,7 +306,7 @@ uint64_t ShardWorker::HandleRegisterChainView(RegisterChainViewMsg msg) {
 void ShardWorker::ApplyViewInsert(WorkerView* view, int64_t global_row,
                                   const std::vector<Cell>& cells,
                                   ExprId annotation) {
-  // The delta-row pipeline of ShardedDatabase::ApplyShardedViewInsert.
+  // The delta-row pipeline of the single-database chain views.
   const PvcTable& partition = db_->table(view->driving);
   std::vector<Column> columns = partition.schema().columns();
   columns.push_back({kShardRowIdColumn, CellType::kInt});
@@ -328,8 +328,8 @@ void ShardWorker::ApplyViewInsert(WorkerView* view, int64_t global_row,
 }
 
 void ShardWorker::ApplyViewDelete(WorkerView* view, int64_t global_row) {
-  // This shard's half of ApplyShardedViewDelete: drop the derived row if
-  // this partition holds it, then shift later driving-row ids.
+  // Drop the derived row if this partition holds it, then shift later
+  // driving-row ids.
   auto pos = std::lower_bound(view->global.begin(), view->global.end(),
                               global_row);
   if (pos != view->global.end() && *pos == global_row) {
@@ -347,7 +347,7 @@ ChainResultMsg ShardWorker::HandleViewProbs(const std::string& name) {
   PVC_CHECK_MSG(view != nullptr,
                 "worker " << shard_index_ << " has no view '" << name << "'");
   VariableTable::EvalScope scope(db_->variables());
-  // The cached per-shard pass of ShardedDatabase::ViewProbabilities.
+  // The cached pass of Database::ViewProbabilities over this partition.
   std::vector<double> probs =
       view->cache.Probabilities(db_->pool(), db_->variables(), view->part,
                                 db_->compile_options(), db_->eval_options());

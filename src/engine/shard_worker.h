@@ -1,31 +1,31 @@
-// The shard worker: the out-of-process counterpart of one inner Database
-// shard of ShardedDatabase (src/engine/shard.h), serving the wire protocol
-// of src/net/protocol.h over one coordinator connection.
+// The shard worker: one shard of the Coordinator's scatter-gather engine
+// (src/engine/coordinator.h), serving the wire protocol of
+// src/net/protocol.h over one coordinator connection.
 //
-// A worker holds exactly the state an in-process shard holds -- a Database
-// with its partition tables (rows annotated by re-interned shared
+// A worker holds a Database with its partition tables (the rows
+// ShardPlacement assigns to this shard, annotated by re-interned shared
 // variables), a replica of the shared VariableTable (replayed in Add order
 // through kSyncVars, so ids line up by construction), the
 // provenance-extended partitions of tables serving distributed plans, and
-// per-shard chain views with their step II caches. Every computation runs
-// the identical code paths the in-process shard runs:
+// per-shard chain views with their step II caches:
 //
-//  - kEvalChain mirrors ShardedDatabase::EvalDistributed's scatter half: a
-//    QueryEvaluator over the partition extended with the hidden
-//    kShardRowIdColumn, surviving rows reported with their global driving
-//    row, annotation variable, and a probability from
-//    IsolatedAnnotationDistribution -- the single per-row step II pipeline
-//    both facades share, which clones into a task-private pool and is
-//    therefore independent of this worker's pool history. That is the
-//    whole bit-identity argument: the coordinator's merge of these rows
-//    equals the in-process scatter-gather bit for bit.
-//  - kAppendRow / kDeleteRow mirror RouteAppendedRow / DeleteRowAt
+//  - kEvalChain evaluates a Select/Rename chain with a QueryEvaluator over
+//    the partition extended with the hidden kShardRowIdColumn; surviving
+//    rows are reported with their global driving row, annotation variable,
+//    and a probability from IsolatedAnnotationDistribution -- the single
+//    per-row step II pipeline every engine shares, which clones into a
+//    task-private pool and is therefore independent of this worker's pool
+//    history. That is the whole bit-identity argument: the coordinator's
+//    merge of these rows on driving-row order equals the serial
+//    single-database result bit for bit (chains preserve row order and
+//    leave annotations untouched).
+//  - kAppendRow / kDeleteRow apply the coordinator's routed deltas
 //    (including the broadcast global-row shift on deletes), and chain
-//    views absorb deltas through the same EvalChainOnSingleRow pipeline as
-//    ShardedDatabase::ApplyShardedViewInsert.
+//    views absorb them through EvalChainOnSingleRow, the delta-row
+//    pipeline of the single-database chain views (src/engine/view.h).
 //  - kViewProbs serves cached per-row view probabilities from a
-//    StepTwoCache exactly like ShardedDatabase::ViewProbabilities' per-
-//    shard passes, with kUpdateVar driving the same refresh-or-drop rule.
+//    StepTwoCache, with kUpdateVar driving the same refresh-or-drop rule as
+//    Database::UpdateProbability.
 //
 // A worker never crashes its connection on bad input: malformed payloads
 // and failed engine invariants (CheckError) become kError replies.
@@ -106,8 +106,7 @@ class ShardWorker {
     PvcTable augmented{Schema{}};  ///< Partition + provenance column.
   };
 
-  /// Worker half of ShardedDatabase::ShardedView: this shard's partition
-  /// of a chain view's result.
+  /// This shard's partition of a chain view's result.
   struct WorkerView {
     std::string name;
     std::string driving;
@@ -131,12 +130,12 @@ class ShardWorker {
 
   /// The partition extended with kShardRowIdColumn (built lazily, kept
   /// across queries, extended in place on appends, invalidated on deletes
-  /// and reloads -- mirroring ShardedDatabase::AugmentedPartitionsOf).
+  /// and reloads).
   const PvcTable& AugmentedPartition(const std::string& table);
 
   /// Evaluates the chain over the augmented partition and strips the
-  /// provenance column: the scatter half of EvalDistributed for this one
-  /// shard. Fills `schema`, `part`, `global`.
+  /// provenance column: this shard's half of the scatter. Fills `schema`,
+  /// `part`, `global`.
   void EvalChainParts(const Query& q, const std::string& table,
                       Schema* schema, PvcTable* part,
                       std::vector<int64_t>* global);

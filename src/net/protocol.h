@@ -10,15 +10,14 @@
 //      magic-string versioning rule.
 //   2. Variable-table sync: kSyncVars ships a contiguous run of variable
 //      definitions starting at `first_id`. Variables are append-only and
-//      globally scoped (the in-process ShardedDatabase shares one
-//      VariableTable; out of process every worker replays the same Add
+//      globally scoped (every worker replays the coordinator's Add
 //      order), so ids line up by construction and the worker checks
 //      `first_id == variables().size()` before applying.
-//   3. Data plane: kLoadPartition / kAppendRow / kDeleteRow mirror the
-//      in-process partition hand-off and the IVM delta stream; kEvalChain /
-//      kTableProbs / kViewProbs are the scatter half of scatter-gather and
-//      return kChainResult / kProbsResult with per-global-row payloads the
-//      coordinator merges by global row order.
+//   3. Data plane: kLoadPartition / kAppendRow / kDeleteRow carry the
+//      partitions ShardPlacement assigns and the IVM delta stream;
+//      kEvalChain / kTableProbs / kViewProbs are the scatter half of
+//      scatter-gather and return kChainResult / kProbsResult with
+//      per-global-row payloads the coordinator merges by global row order.
 //
 // Every request either succeeds with its typed reply or fails with kError
 // {text}; a worker never crashes the connection on a malformed payload
@@ -208,7 +207,7 @@ struct TableProbsMsg {
 
 /// Registers a worker-maintained chain view over `table`'s partition; the
 /// worker keeps its part materialized and serves kViewProbs from its
-/// per-shard step-two cache, mirroring in-process ShardedView.
+/// per-shard step-two cache.
 struct RegisterChainViewMsg {
   std::string name;
   std::string table;

@@ -103,8 +103,8 @@ class Distribution {
 
 /// P[x != 0] for x ~ d, clamped against negative floating-point dust --
 /// the tuple-presence probability derived from an annotation distribution.
-/// Both engine facades (Database, ShardedDatabase) must use this exact
-/// expression so their results stay bit-identical.
+/// Every step II path (Database, the step II cache, the shard workers)
+/// must use this exact expression so their results stay bit-identical.
 inline double NonZeroMass(const Distribution& d) {
   return std::max(0.0, d.TotalMass() - d.ProbOf(0));
 }

@@ -22,17 +22,16 @@ using VarId = uint32_t;
 /// Registry of the independent random variables X underlying a
 /// pvc-database, with one finite distribution per variable.
 ///
-/// Mutation contract: a table shared between engine instances (the sharded
-/// topology of src/engine/shard.h) must only be mutated while no instance
-/// is evaluating. Engine facades mark in-flight evaluations with EvalScope;
-/// in debug builds (!NDEBUG) every mutator asserts that no scope is open,
+/// Mutation contract: the table must only be mutated while no evaluation
+/// reads it. The engine marks in-flight evaluations with EvalScope; in
+/// debug builds (!NDEBUG) every mutator asserts that no scope is open,
 /// turning a violated contract into an immediate CheckError instead of a
 /// silent race.
 class VariableTable {
  public:
   /// RAII marker for an evaluation that reads this table (probability
-  /// passes, d-tree compilation). Held by the Database / ShardedDatabase
-  /// probability methods; nesting and concurrent scopes from several
+  /// passes, d-tree compilation). Held by the Database probability
+  /// methods; nesting and concurrent scopes from several
   /// threads are fine.
   class EvalScope {
    public:

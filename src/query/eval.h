@@ -126,7 +126,7 @@ struct EquiJoinPlan {
 EquiJoinPlan SplitEquiJoinAtoms(const Predicate& pred, const Schema& left,
                                 const Schema& right);
 
-// -- Shard-distributable fragment (scatter entry point, src/engine/shard.h)
+// -- Shard-distributable fragment (ShardPlacement, src/engine/shard.h)
 
 /// The base table driving `q` when `q` is a Select/Rename chain over a
 /// single Scan -- the fragment a sharded catalog evaluates per shard

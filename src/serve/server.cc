@@ -24,60 +24,6 @@
 namespace pvcdb {
 
 // ---------------------------------------------------------------------------
-// InProcessBackend: the reference implementation over ShardedDatabase.
-// ---------------------------------------------------------------------------
-
-QueryRun InProcessBackend::RunQuery(const Query& q) {
-  auto state = std::make_shared<ShardedResult>(db_->Run(q));
-  QueryRun run;
-  run.schema = state->schema();
-  run.text = db_->ResultToString(*state);
-  run.probabilities = db_->TupleProbabilities(*state);
-  run.distributed = state->distributed();
-  run.backend_state = state;
-  return run;
-}
-
-Distribution InProcessBackend::ConditionalAgg(const QueryRun& run,
-                                              size_t row_index,
-                                              const std::string& column) {
-  auto state = std::static_pointer_cast<ShardedResult>(run.backend_state);
-  PVC_CHECK_MSG(state != nullptr, "run carries no in-process result state");
-  return db_->ConditionalAggregateDistribution(*state, row_index, column);
-}
-
-size_t InProcessBackend::RegisterView(const std::string& name, QueryPtr query,
-                                      std::vector<std::string>* warnings) {
-  (void)warnings;  // The in-process engine has no degraded mode.
-  db_->RegisterView(name, std::move(query));
-  return db_->ViewResult(name).NumRows();
-}
-
-QueryRun InProcessBackend::PrintView(const std::string& name) {
-  auto state = std::make_shared<ShardedResult>(db_->ViewResult(name));
-  QueryRun run;
-  run.schema = state->schema();
-  run.text = db_->ResultToString(*state);
-  run.probabilities = db_->ViewProbabilities(name);
-  run.distributed = state->distributed();
-  run.backend_state = state;
-  return run;
-}
-
-std::string InProcessBackend::Workers() {
-  std::ostringstream out;
-  out << "in-process engine (" << db_->num_shards()
-      << " shards); no worker processes\n";
-  return out.str();
-}
-
-bool InProcessBackend::Respawn(size_t shard, std::string* message) {
-  (void)shard;
-  *message = "respawn requires out-of-process workers\n";
-  return false;
-}
-
-// ---------------------------------------------------------------------------
 // DatabaseBackend: one plain Database (the shell's single-database mode).
 // ---------------------------------------------------------------------------
 
@@ -100,19 +46,23 @@ QueryRun DatabaseBackend::PrintView(const std::string& name) {
   return run;
 }
 
-std::vector<ShardedDatabase::ViewInfo> DatabaseBackend::ViewInfos() {
-  std::vector<ShardedDatabase::ViewInfo> infos;
+std::vector<ViewInfo> DatabaseBackend::ViewInfos() {
+  std::vector<ViewInfo> infos;
   for (const std::string& name : db_->ViewNames()) {
-    const MaterializedView& view = db_->views().view(name);
-    const PvcTable& table = db_->ViewTable(name);
-    ShardedDatabase::ViewInfo info;
-    info.name = name;
-    info.plan = MaterializedView::PlanName(view.plan());
-    info.rows = table.NumRows();
-    info.cache_entries = view.step_two().LiveEntries(table);
-    infos.push_back(std::move(info));
+    infos.push_back(DescribeView(db_, name));
   }
   return infos;
+}
+
+// ---------------------------------------------------------------------------
+// InProcessBackend: a DatabaseBackend plus the placement bookkeeping.
+// ---------------------------------------------------------------------------
+
+std::string InProcessBackend::Workers() {
+  std::ostringstream out;
+  out << "in-process engine (" << sharded_->num_shards()
+      << " shards); no worker processes\n";
+  return out.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -502,7 +452,7 @@ bool RunCommand(ServeBackend* backend, const std::string& line,
     } else if (command == "view") {
       ok = RunViewCommand(backend, stream, out);
     } else if (command == "views") {
-      for (const ShardedDatabase::ViewInfo& info : backend->ViewInfos()) {
+      for (const ViewInfo& info : backend->ViewInfos()) {
         out << info.name << " (" << info.plan << ", " << info.rows
             << " rows, " << info.cache_entries << " cached d-trees)\n";
       }

@@ -7,8 +7,9 @@
 // caller-owned stream, against a ServeBackend:
 //   - DatabaseBackend over one plain Database (the local shell's default
 //     single-database mode);
-//   - InProcessBackend over an in-process ShardedDatabase (the shell after
-//     `shards n`, and the server's bit-identity reference mode);
+//   - InProcessBackend, a DatabaseBackend over the one Database of an
+//     in-process ShardedDatabase (the shell after `shards n`, and the
+//     server's bit-identity reference mode);
 //   - RemoteBackend over a Coordinator of out-of-process shard workers
 //     (the server's normal mode).
 // tools/pvcdb_shell.cc is a REPL over RunCommand writing to std::cout
@@ -76,7 +77,7 @@ class ServeBackend {
                               std::vector<std::string>* warnings) = 0;
   virtual bool HasView(const std::string& name) = 0;
   virtual QueryRun PrintView(const std::string& name) = 0;
-  virtual std::vector<ShardedDatabase::ViewInfo> ViewInfos() = 0;
+  virtual std::vector<ViewInfo> ViewInfos() = 0;
 
   /// Text of the `workers` command (worker liveness / pids).
   virtual std::string Workers() = 0;
@@ -93,54 +94,6 @@ class ServeBackend {
   /// (entries prefixed "shard<N>."). Pure observation -- never logged,
   /// never advances worker (lsn, chain).
   virtual std::vector<MetricSnapshot> StatsSnapshot() = 0;
-};
-
-/// Reference backend over an in-process ShardedDatabase (does not own it).
-class InProcessBackend : public ServeBackend {
- public:
-  explicit InProcessBackend(ShardedDatabase* db) : db_(db) {}
-
-  const Database& catalog() const override { return db_->coordinator(); }
-  size_t num_shards() const override { return db_->num_shards(); }
-  std::vector<size_t> ShardRowCounts(const std::string& name) override {
-    return db_->ShardRowCounts(name);
-  }
-  CsvResult LoadCsv(const std::string& table,
-                    const std::string& path) override {
-    return LoadCsvTableFromFile(db_, table, path);
-  }
-  QueryRun RunQuery(const Query& q) override;
-  Distribution ConditionalAgg(const QueryRun& run, size_t row_index,
-                              const std::string& column) override;
-  void Insert(const std::string& table, std::vector<Cell> cells,
-              double p) override {
-    db_->InsertTuple(table, std::move(cells), p);
-  }
-  size_t Delete(const std::string& table, const Cell& key) override {
-    return db_->DeleteTuple(table, key);
-  }
-  void SetProb(VarId var, double p) override {
-    db_->UpdateProbability(var, p);
-  }
-  size_t RegisterView(const std::string& name, QueryPtr query,
-                      std::vector<std::string>* warnings) override;
-  bool HasView(const std::string& name) override { return db_->HasView(name); }
-  QueryRun PrintView(const std::string& name) override;
-  std::vector<ShardedDatabase::ViewInfo> ViewInfos() override {
-    return db_->ViewInfos();
-  }
-  std::string Workers() override;
-  bool Respawn(size_t shard, std::string* message) override;
-  void SetEvalOptions(int num_threads, int intra_tree_threads) override {
-    db_->eval_options().num_threads = num_threads;
-    db_->eval_options().intra_tree_threads = intra_tree_threads;
-  }
-  std::vector<MetricSnapshot> StatsSnapshot() override {
-    return MetricsRegistry::Global().Snapshot();
-  }
-
- private:
-  ShardedDatabase* db_;
 };
 
 /// Backend over one plain Database (does not own it): the local shell's
@@ -183,7 +136,7 @@ class DatabaseBackend : public ServeBackend {
   }
   bool HasView(const std::string& name) override { return db_->HasView(name); }
   QueryRun PrintView(const std::string& name) override;
-  std::vector<ShardedDatabase::ViewInfo> ViewInfos() override;
+  std::vector<ViewInfo> ViewInfos() override;
   std::string Workers() override {
     return "in-process engine (single database); no worker processes\n";
   }
@@ -202,6 +155,37 @@ class DatabaseBackend : public ServeBackend {
 
  private:
   Database* db_;
+};
+
+/// Backend over an in-process ShardedDatabase (does not own it): the
+/// DatabaseBackend over its one Database, plus the placement upkeep and
+/// shard-aware diagnostics. Loads and row mutations go through the
+/// ShardedDatabase so the placement follows them.
+class InProcessBackend : public DatabaseBackend {
+ public:
+  explicit InProcessBackend(ShardedDatabase* db)
+      : DatabaseBackend(&db->coordinator()), sharded_(db) {}
+
+  size_t num_shards() const override { return sharded_->num_shards(); }
+  std::vector<size_t> ShardRowCounts(const std::string& name) override {
+    return sharded_->ShardRowCounts(name);
+  }
+  CsvResult LoadCsv(const std::string& table,
+                    const std::string& path) override {
+    return LoadCsvTableFromFile(sharded_, table, path);
+  }
+  void Insert(const std::string& table, std::vector<Cell> cells,
+              double p) override {
+    sharded_->InsertTuple(table, std::move(cells), p);
+  }
+  size_t Delete(const std::string& table, const Cell& key) override {
+    return sharded_->DeleteTuple(table, key);
+  }
+  std::vector<ViewInfo> ViewInfos() override { return sharded_->ViewInfos(); }
+  std::string Workers() override;
+
+ private:
+  ShardedDatabase* sharded_;
 };
 
 /// Serving backend over a Coordinator of remote workers (does not own it).
@@ -245,7 +229,7 @@ class RemoteBackend : public ServeBackend {
   QueryRun PrintView(const std::string& name) override {
     return coordinator_->PrintView(name);
   }
-  std::vector<ShardedDatabase::ViewInfo> ViewInfos() override {
+  std::vector<ViewInfo> ViewInfos() override {
     return coordinator_->ViewInfos();
   }
   std::string Workers() override;

@@ -56,7 +56,7 @@ class Cell {
   /// Platform-independent FNV-1a hash of the cell's canonical byte
   /// representation (type tag + little-endian value bytes). Unlike Hash(),
   /// which delegates to std::hash, this value is stable across processes
-  /// and platforms -- shard routing (src/engine/shard.h) depends on that,
+  /// and platforms -- shard placement (src/engine/shard.h) depends on that,
   /// so partitions computed on different machines agree.
   uint64_t StableHash() const;
 

@@ -85,20 +85,6 @@ PvcTable PvcTable::MaterializeWorld(const ExprPool& pool,
   return world;
 }
 
-std::vector<size_t> AssignShards(
-    const PvcTable& table, size_t key_column,
-    const std::function<size_t(const Cell&)>& shard_of) {
-  PVC_CHECK_MSG(key_column < table.schema().NumColumns(),
-                "shard key column " << key_column << " out of range");
-  std::vector<size_t> assignment;
-  assignment.reserve(table.NumRows());
-  for (const Row& r : table.rows()) {
-    size_t shard = shard_of(r.cells[key_column]);
-    assignment.push_back(shard);
-  }
-  return assignment;
-}
-
 std::string PvcTable::ToString(const ExprPool* pool) const {
   std::ostringstream out;
   // Header.

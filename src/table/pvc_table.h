@@ -8,7 +8,6 @@
 #ifndef PVCDB_TABLE_PVC_TABLE_H_
 #define PVCDB_TABLE_PVC_TABLE_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -73,15 +72,6 @@ class PvcTable {
   Schema schema_;
   std::vector<Row> rows_;
 };
-
-// -- Partition helpers (sharded catalogs, src/engine/shard.h) --------------
-
-/// The shard of each row: `shard_of` applied to the row's cell in column
-/// `key_column`. Row order is preserved, so partitions formed from the
-/// result are order-preserving subsequences of the table.
-std::vector<size_t> AssignShards(
-    const PvcTable& table, size_t key_column,
-    const std::function<size_t(const Cell&)>& shard_of);
 
 }  // namespace pvcdb
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -39,10 +40,11 @@ std::string WithoutShardDetail(const std::string& text) {
 }
 
 // The local shell's backends: a plain Database (DatabaseBackend) and the
-// in-process sharded engine at 1 and 2 shards (InProcessBackend) render
+// in-process sharded engine at 1, 2 and 4 shards (InProcessBackend) render
 // every line of the shell transcripts byte-identically at precision 17 --
-// the shell's own `shards n` replay proof, one layer down. The shell-local
-// `shards` lines are rejected alike by all three.
+// the shell's own `shards n` replay proof, one layer down. At 4 shards
+// some shards of `items` (keyed by its two `kind` values) hold no rows.
+// The shell-local `shards` lines are rejected alike by every backend.
 TEST(CommandTest, DatabaseBackendMatchesInProcessShards) {
   for (const char* script : {"input.txt", "input_ivm.txt"}) {
     SCOPED_TRACE(script);
@@ -52,11 +54,15 @@ TEST(CommandTest, DatabaseBackendMatchesInProcessShards) {
     Database db;
     ShardedDatabase one(1);
     ShardedDatabase two(2);
+    ShardedDatabase four(4);
     DatabaseBackend single(&db);
     InProcessBackend sharded_one(&one);
     InProcessBackend sharded_two(&two);
-    ServeBackend* backends[] = {&single, &sharded_one, &sharded_two};
-    ServeSession sessions[3];
+    InProcessBackend sharded_four(&four);
+    ServeBackend* backends[] = {&single, &sharded_one, &sharded_two,
+                                &sharded_four};
+    constexpr size_t kBackends = sizeof(backends) / sizeof(backends[0]);
+    ServeSession sessions[kBackends];
     std::string line;
     size_t probability_lines = 0;
     while (std::getline(input, line)) {
@@ -67,8 +73,8 @@ TEST(CommandTest, DatabaseBackendMatchesInProcessShards) {
         line.replace(at, data.size(),
                      std::string(" ") + PVCDB_SOURCE_DIR + "/data/");
       }
-      ClientReplyMsg replies[3];
-      for (size_t b = 0; b < 3; ++b) {
+      ClientReplyMsg replies[kBackends];
+      for (size_t b = 0; b < kBackends; ++b) {
         bool shutdown = false;
         replies[b] =
             ExecuteCommand(backends[b], line, &shutdown, &sessions[b]);
@@ -77,7 +83,7 @@ TEST(CommandTest, DatabaseBackendMatchesInProcessShards) {
       std::istringstream words(line);
       std::string command;
       words >> command;
-      for (size_t b = 1; b < 3; ++b) {
+      for (size_t b = 1; b < kBackends; ++b) {
         EXPECT_EQ(replies[b].ok, replies[0].ok) << "command: " << line;
         if (command == "tables" || command == "views") {
           EXPECT_EQ(replies[0].text.find("per shard"), std::string::npos);
@@ -93,6 +99,8 @@ TEST(CommandTest, DatabaseBackendMatchesInProcessShards) {
       }
     }
     EXPECT_GT(probability_lines, 0u);
+    std::vector<size_t> counts = four.ShardRowCounts("items");
+    EXPECT_NE(std::find(counts.begin(), counts.end(), 0u), counts.end());
   }
 }
 

@@ -98,12 +98,17 @@ class WorkerReaper {
   WorkerReaper(const WorkerReaper&) = delete;
   WorkerReaper& operator=(const WorkerReaper&) = delete;
 
-  /// Forks a standalone worker on `address`; returns its pid (<= 0 when
-  /// the fork failed).
+  /// Forks a standalone worker on `address` and waits until it listens
+  /// (a FaultProxy dials its upstream once per connection, so it must not
+  /// race the worker's bind); returns its pid (<= 0 when the fork or the
+  /// wait failed). The probe connection closes without a hello, which the
+  /// worker ignores.
   pid_t Start(const std::string& address) {
     pid_t pid = StartStandaloneWorker(address);
-    if (pid > 0) pids_.push_back(pid);
-    return pid;
+    if (pid <= 0) return pid;
+    pids_.push_back(pid);
+    std::string error;
+    return ConnectWithRetry(address, 250, &error).valid() ? pid : -1;
   }
 
   /// Kills and reaps `pid` now, as a scenario step.

@@ -281,12 +281,12 @@ void ExpectShardedViewMatchesFresh(ShardedDatabase* ivm,
                                    const std::string& name,
                                    ShardedDatabase* fresh, const Query& query,
                                    const std::string& what) {
-  ShardedResult view = ivm->ViewResult(name);
-  ShardedResult expected = fresh->Run(query);
+  PvcTable view = ivm->ViewResult(name);
+  PvcTable expected = fresh->Run(query);
   ASSERT_EQ(view.NumRows(), expected.NumRows()) << what;
   ASSERT_TRUE(view.schema() == expected.schema()) << what;
   for (size_t i = 0; i < view.NumRows(); ++i) {
-    ExpectSameCells(view.cells(i), expected.cells(i),
+    ExpectSameCells(view.row(i).cells, expected.row(i).cells,
                     what + " row " + std::to_string(i));
   }
   std::vector<double> view_probs = ivm->ViewProbabilities(name);
@@ -691,13 +691,13 @@ TEST(IvmApiTest, ShardedInsertKeepsPlacementAndDistributedPlans) {
   DbSpec spec = MakeSpec(&gen, 12, 0, 0);
   spec.tables.resize(1);
   std::unique_ptr<ShardedDatabase> db = FreshSharded(spec, 4, 1);
-  // Exercise the augmented-partition cache before and after the insert.
+  // Run the chain before and after the insert.
   QueryPtr chain = ChainQuery();
-  ShardedResult before = db->Run(*chain);
+  PvcTable before = db->Run(*chain);
   db->InsertTuple("T", {Cell(int64_t{200}), Cell(int64_t{1}),
                         Cell(int64_t{95})},
                   0.5);
-  ShardedResult after = db->Run(*chain);
+  PvcTable after = db->Run(*chain);
   EXPECT_EQ(after.NumRows(), before.NumRows() + 1);
   size_t total = 0;
   for (size_t count : db->ShardRowCounts("T")) total += count;

@@ -110,6 +110,37 @@ TEST(CloneIntoTest, PreservesTheDistribution) {
   }
 }
 
+// A small annotation whose ids sit above 100k unrelated nodes clones into
+// a fresh pool node for node: the clone holds exactly the nodes reachable
+// from the annotation, whatever the source pool's size.
+TEST(CloneIntoTest, SmallAnnotationFromALargePool) {
+  constexpr VarId kFiller = 100000;
+  VariableTable variables;
+  ExprPool pool(SemiringKind::kBool);
+  for (VarId v = 0; v < kFiller; ++v) {
+    variables.AddBernoulli(0.5);
+    pool.Var(v);
+  }
+  VarId x = variables.AddBernoulli(0.3);
+  VarId y = variables.AddBernoulli(0.6);
+  VarId z = variables.AddBernoulli(0.8);
+  ExprId e = pool.AddS(pool.MulS(pool.Var(x), pool.Var(y)), pool.Var(z));
+  ASSERT_GE(pool.NumNodes(), 100000u);
+
+  ExprPool copy(SemiringKind::kBool);
+  ExprId cloned = pool.CloneInto(&copy, e);
+  EXPECT_EQ(copy.NumNodes(), pool.ReachableSize(e));
+  CompileOptions options;
+  Distribution a = ComputeDistribution(
+      CompileToDTree(&pool, &variables, e, options), variables,
+      pool.semiring());
+  Distribution b = ComputeDistribution(
+      CompileToDTree(&copy, &variables, cloned, options), variables,
+      copy.semiring());
+  EXPECT_TRUE(a.ApproxEquals(b, 1e-12)) << a.ToString() << " vs "
+                                         << b.ToString();
+}
+
 // Serial vs. threaded CompileBatch + probability pass on the paper's
 // running example (Figure 1, Q1 and Q2 annotations).
 TEST(ParallelEvalTest, CompileBatchMatchesSerialOnFigure1) {

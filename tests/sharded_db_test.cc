@@ -1,10 +1,13 @@
-// Tests for the sharded-database subsystem (src/engine/shard.h): routing
-// and partitioning invariants, and the contract that every result --
-// distributed step I plans, coordinator fallbacks, and the scatter-gather
-// step II passes -- is *bit-identical* to the unsharded engine for
-// shards in {1, 2, 4, 8} x threads in {1, 4}.
+// Tests for shard placement and the in-process sharded facade
+// (src/engine/shard.h): placement invariants under load, append and
+// delete, the distributable-fragment predicate, and the contract that
+// every result of ShardedDatabase -- step I, exact and approximate step II
+// -- is *bit-identical* to the unsharded engine for shards in
+// {1, 2, 4, 8} x threads in {1, 4}.
 
+#include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -111,75 +114,109 @@ void LoadStressTable(DB* db) {
                                std::move(probs));
 }
 
-TEST(ShardRouterTest, FnvIsDeterministicAndInRange) {
-  FnvShardRouter router;
-  for (size_t shards : {1u, 2u, 5u, 8u}) {
-    for (int64_t k = -50; k < 50; ++k) {
-      size_t s = router.Route(Cell(k), shards);
-      EXPECT_LT(s, shards);
-      EXPECT_EQ(s, router.Route(Cell(k), shards));
-    }
+// Checks `name`'s placement against the table's rows: every row placed,
+// routed by FNV-1a (Cell::StableHash) over its key cell mod N, and each
+// shard's partition rows numbered densely in table order, with exact
+// per-shard counts.
+void ExpectDensePlacement(const ShardedDatabase& db, const std::string& name) {
+  const ShardPlacement& placement = db.placement();
+  const ShardPlacement::Table& placed = placement.table(name);
+  const PvcTable& table = db.coordinator().table(name);
+  ASSERT_EQ(placed.slots.size(), table.NumRows());
+  std::vector<size_t> next(placement.num_shards(), 0);
+  for (size_t i = 0; i < table.NumRows(); ++i) {
+    const Cell& key = table.row(i).cells[placed.key_index];
+    auto [s, r] = placed.slots[i];
+    EXPECT_EQ(s, key.StableHash() % placement.num_shards()) << "row " << i;
+    EXPECT_EQ(r, next[s]++) << "row " << i;
   }
-  EXPECT_EQ(router.Route(Cell("abc"), 8), router.Route(Cell("abc"), 8));
-  EXPECT_EQ(router.Route(Cell(1.5), 8), router.Route(Cell(1.5), 8));
+  EXPECT_EQ(placed.counts, next);
+  EXPECT_EQ(db.ShardRowCounts(name), next);
 }
 
-TEST(ShardRouterTest, StableHashSeparatesTypesAndValues) {
+TEST(ShardPlacementTest, StableHashSeparatesTypesAndValues) {
   EXPECT_EQ(Cell(int64_t{7}).StableHash(), Cell(int64_t{7}).StableHash());
   EXPECT_NE(Cell(int64_t{7}).StableHash(), Cell(int64_t{8}).StableHash());
   EXPECT_NE(Cell(int64_t{7}).StableHash(), Cell("7").StableHash());
   EXPECT_NE(Cell("a").StableHash(), Cell("b").StableHash());
 }
 
-TEST(ShardRouterTest, ModuloRoutesByValueIncludingNegatives) {
-  ModuloShardRouter router;
-  EXPECT_EQ(router.Route(Cell(int64_t{7}), 4), 3u);
-  EXPECT_EQ(router.Route(Cell(int64_t{-5}), 4), 3u);
-  EXPECT_EQ(router.Route(Cell(int64_t{8}), 4), 0u);
-}
-
-TEST(ShardedDatabaseTest, PartitionsAreCompleteOrderPreservingAndRouted) {
-  ShardedDatabase db(4, SemiringKind::kBool,
-                     std::make_unique<ModuloShardRouter>());
-  LoadStressTable(&db);
-  ASSERT_EQ(db.NumRows("T"), 1000u);
-
-  std::vector<size_t> counts = db.ShardRowCounts("T");
-  ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(counts[0] + counts[1] + counts[2] + counts[3], 1000u);
-  for (size_t s = 0; s < 4; ++s) {
-    const PvcTable& part = db.shard(s).table("T");
-    EXPECT_EQ(part.NumRows(), counts[s]);
-    int64_t previous = -1;
-    for (const Row& r : part.rows()) {
-      int64_t id = r.cells[0].AsInt();
-      // Modulo routing on the primary key, global order preserved.
-      EXPECT_EQ(static_cast<size_t>(id % 4), s);
-      EXPECT_GT(id, previous);
-      previous = id;
-    }
+TEST(ShardPlacementTest, LoadIsCompleteOrderPreservingAndRoutedByFnv) {
+  for (size_t shards : kShardGrid) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << shards);
+    ShardedDatabase db(shards);
+    LoadStressTable(&db);
+    ASSERT_EQ(db.NumRows("T"), 1000u);
+    ExpectDensePlacement(db, "T");
+    EXPECT_EQ(db.KeyColumnName("T"), "id");
   }
 }
 
-TEST(ShardedDatabaseTest, VariablesAreGloballyScopedAndShared) {
+TEST(ShardPlacementTest, AppendAndDeleteKeepPartitionsDenseAndCountsExact) {
+  ShardedDatabase db(4);
+  LoadStressTable(&db);
+  const ShardPlacement& placement = db.placement();
+  for (int64_t id = 1000; id < 1020; ++id) {
+    db.InsertTuple("T", {Cell(id), Cell(id % 37), Cell(int64_t{5})}, 0.5);
+    ExpectDensePlacement(db, "T");
+  }
+  // Deletes at the front, in the middle and at the end.
+  for (size_t pick : {0, 1, 2}) {
+    size_t rows = db.NumRows("T");
+    db.DeleteRowAt("T", pick == 0 ? 0 : pick == 1 ? rows / 2 : rows - 1);
+    ExpectDensePlacement(db, "T");
+  }
+
+  // Empty one shard from the middle of its partition, down to its last row.
+  const uint32_t victim = 2;
+  while (placement.table("T").counts[victim] > 0) {
+    std::vector<size_t> owned;
+    const auto& slots = placement.table("T").slots;
+    for (size_t i = 0; i < slots.size(); ++i) {
+      if (slots[i].first == victim) owned.push_back(i);
+    }
+    db.DeleteRowAt("T", owned[owned.size() / 2]);
+    ExpectDensePlacement(db, "T");
+  }
+  size_t total = 0;
+  for (size_t count : db.ShardRowCounts("T")) total += count;
+  EXPECT_EQ(total, db.NumRows("T"));
+
+  // The emptied shard takes the next row routed to it as its row 0.
+  int64_t key = 5000;
+  while (placement.Route(Cell(key)) != victim) ++key;
+  db.InsertTuple("T", {Cell(key), Cell(int64_t{0}), Cell(int64_t{0})}, 0.5);
+  EXPECT_EQ(placement.table("T").slots.back(),
+            ShardPlacement::Slot(victim, 0));
+  ExpectDensePlacement(db, "T");
+  EXPECT_EQ(db.DeleteTuple("T", Cell(key)), 1u);
+  EXPECT_EQ(placement.table("T").counts[victim], 0u);
+  ExpectDensePlacement(db, "T");
+}
+
+TEST(ShardedDatabaseTest, VariablesMatchTheUnshardedLoad) {
   ShardedDatabase sharded(4);
   LoadFigure1(&sharded, 0.5);
   Database reference;
   LoadFigure1(&reference, 0.5);
   EXPECT_EQ(sharded.variables().size(), reference.variables().size());
-  for (size_t s = 0; s < sharded.num_shards(); ++s) {
-    EXPECT_EQ(&sharded.shard(s).variables(), &sharded.variables());
-  }
   EXPECT_EQ(&sharded.coordinator().variables(), &sharded.variables());
 }
 
-TEST(ShardedDatabaseTest, PlanRoutingPicksTheDistributableFragment) {
+// Select/Rename chains over a placed table scatter; every other shape, and
+// any chain touching the reserved provenance column, evaluates in full.
+TEST(ShardPlacementTest, DrivingTablePicksTheDistributableFragment) {
   ShardedDatabase db(2);
   LoadFigure1(&db, 0.5);
-  EXPECT_TRUE(db.Run(*Figure1Chain()).distributed());
-  EXPECT_FALSE(db.Run(*Figure1Q1()).distributed());
-  EXPECT_FALSE(db.Run(*Figure1Q2()).distributed());
-  EXPECT_FALSE(db.RunDeterministic(*Figure1Chain()).distributed());
+  const ShardPlacement& placement = db.placement();
+  const Database& catalog = db.coordinator();
+  EXPECT_EQ(placement.DrivingTable(*Figure1Chain(), catalog),
+            std::optional<std::string>("PS"));
+  EXPECT_EQ(placement.DrivingTable(*Figure1Q1(), catalog), std::nullopt);
+  EXPECT_EQ(placement.DrivingTable(*Figure1Q2(), catalog), std::nullopt);
+  QueryPtr provenance =
+      Query::Rename(Figure1Chain(), "price2", kShardRowIdColumn);
+  EXPECT_EQ(placement.DrivingTable(*provenance, catalog), std::nullopt);
 }
 
 // The acceptance grid on the paper's running example: for every shard and
@@ -220,11 +257,11 @@ TEST(ShardedDatabaseTest, Figure1BitIdenticalAcrossShardAndThreadGrid) {
                                           << " threads=" << threads
                                           << " query=" << qi);
         const Expected& e = expected[qi];
-        ShardedResult result = db.Run(*queries[qi]);
+        PvcTable result = db.Run(*queries[qi]);
         ASSERT_EQ(result.NumRows(), e.table.NumRows());
         EXPECT_EQ(result.schema(), e.table.schema());
         for (size_t i = 0; i < result.NumRows(); ++i) {
-          EXPECT_EQ(result.cells(i), e.table.row(i).cells) << "row " << i;
+          EXPECT_EQ(result.row(i).cells, e.table.row(i).cells) << "row " << i;
         }
         std::vector<double> probabilities = db.TupleProbabilities(result);
         ASSERT_EQ(probabilities.size(), e.probabilities.size());
@@ -284,23 +321,25 @@ TEST(ShardedDatabaseTest, StressTableBitIdenticalAcrossShardAndThreadGrid) {
         EXPECT_EQ(base[i], expected_base[i]) << "row " << i;
       }
 
-      ShardedResult selected = db.Run(*select);
-      EXPECT_TRUE(selected.distributed());
+      EXPECT_TRUE(
+          db.placement().DrivingTable(*select, db.coordinator()).has_value());
+      PvcTable selected = db.Run(*select);
       ASSERT_EQ(selected.NumRows(), expected_select.NumRows());
       std::vector<double> select_probs = db.TupleProbabilities(selected);
       for (size_t i = 0; i < select_probs.size(); ++i) {
-        EXPECT_EQ(selected.cells(i), expected_select.row(i).cells);
+        EXPECT_EQ(selected.row(i).cells, expected_select.row(i).cells);
         EXPECT_EQ(select_probs[i], expected_select_probs[i]) << "row " << i;
       }
 
-      ShardedResult grouped = db.Run(*group);
-      EXPECT_FALSE(grouped.distributed());
+      EXPECT_FALSE(
+          db.placement().DrivingTable(*group, db.coordinator()).has_value());
+      PvcTable grouped = db.Run(*group);
       ASSERT_EQ(grouped.NumRows(), expected_group.NumRows());
       std::vector<double> group_probs = db.TupleProbabilities(grouped);
       std::vector<Distribution> group_dists =
           db.AnnotationDistributions(grouped);
       for (size_t i = 0; i < group_probs.size(); ++i) {
-        EXPECT_EQ(grouped.cells(i), expected_group.row(i).cells);
+        EXPECT_EQ(grouped.row(i).cells, expected_group.row(i).cells);
         EXPECT_EQ(group_probs[i], expected_group_probs[i]) << "row " << i;
         ExpectBitIdentical(group_dists[i], expected_group_dists[i]);
       }
@@ -318,7 +357,7 @@ TEST(ShardedDatabaseTest, ConditionalAggregatesMatchTheUnshardedEngine) {
   ShardedDatabase db(4);
   LoadFigure1(&db, 0.4);
   db.eval_options().num_threads = 4;
-  ShardedResult result = db.Run(*q);
+  PvcTable result = db.Run(*q);
   ASSERT_EQ(result.NumRows(), expected.NumRows());
   for (size_t i = 0; i < result.NumRows(); ++i) {
     Distribution a = db.ConditionalAggregateDistribution(result, i, "P");
@@ -365,10 +404,10 @@ TEST(ShardedDatabaseTest, DeterministicBaselineMatches) {
 
   ShardedDatabase db(4);
   LoadFigure1(&db, 0.5);
-  ShardedResult result = db.RunDeterministic(*Figure1Q1());
+  PvcTable result = db.RunDeterministic(*Figure1Q1());
   ASSERT_EQ(result.NumRows(), expected.NumRows());
   for (size_t i = 0; i < result.NumRows(); ++i) {
-    EXPECT_EQ(result.cells(i), expected.row(i).cells);
+    EXPECT_EQ(result.row(i).cells, expected.row(i).cells);
   }
 }
 

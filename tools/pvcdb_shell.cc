@@ -9,7 +9,7 @@
 // Database at first. Two session-topology commands live here and nowhere
 // else, because they rebuild or wrap the engine itself:
 //   shards [n]   show or set the shard count: n >= 1 rebuilds the session
-//                as a ShardedDatabase with n hash-partitioned shards
+//                as a ShardedDatabase with rows placed on n shards
 //                (re-importing every loaded CSV and replaying mutations +
 //                views), 0 returns to a single database. Results are
 //                bit-identical either way.
@@ -174,9 +174,7 @@ void ShowShards(const LocalSession& session) {
   std::cout << "shards = "
             << (sharded != nullptr ? static_cast<int>(sharded->num_shards())
                                    : 0)
-            << " (0 = single database; router "
-            << (sharded != nullptr ? sharded->router().name() : "fnv1a")
-            << ")\n";
+            << " (0 = single database; router fnv1a)\n";
 }
 
 void OpenDurable(LocalSession* session, const std::string& dir) {
