@@ -117,20 +117,17 @@ void Coordinator::FlushVars() {
   }
 }
 
-bool Coordinator::LogAndShip(size_t s, MsgKind kind,
+void Coordinator::LogAndShip(size_t s, MsgKind kind,
                              const std::string& payload) {
   ShardLog& log = logs_[s];
   log.Append(kind, payload);
   log.TrimTo(kMaxShardLogBytes);
-  if (replaying_ || workers_[s].down()) return false;
+  if (replaying_ || workers_[s].down()) return;
   try {
     workers_[s].Call(kind, payload, MsgKind::kOk);
-    return true;
   } catch (const WorkerDown&) {
-    return false;
   } catch (const CheckError& e) {
     MarkDiverged(s, e.what());
-    return false;
   }
 }
 
@@ -203,7 +200,6 @@ void Coordinator::PartitionAndShip(const std::string& name, size_t key_index,
   placement_.Place(name, local_.table(name), key_index);
   table_vars_[name] = std::move(vars);
   for (size_t s = 0; s < workers_.size(); ++s) {
-    // The worker re-seeds its views of a replaced table itself.
     LogAndShip(s, MsgKind::kLoadPartition, PartitionFor(name, s).Encode());
   }
 }
@@ -272,8 +268,8 @@ size_t Coordinator::InsertTuple(const std::string& table,
                 "row is missing its key cell");
 
   // The replica replays the unsharded mutation first (fresh Bernoulli
-  // variable with the next global id, replica-registered views absorb the
-  // delta), then the owning worker gets the routed append.
+  // variable with the next global id, every view absorbs the delta), then
+  // the owning worker gets the routed append.
   VarId x = static_cast<VarId>(local_.variables().size());
   size_t global_row = local_.InsertTuple(table, cells, p);
   ShipAppendedRow(table, cells, x, global_row);
@@ -351,10 +347,10 @@ void Coordinator::ApplyRecoveredOp(const WalOp& op) {
       UpdateProbability(op.var, op.probability);
       return;
     case WalOpType::kRegisterView:
-      RegisterView(op.name, op.query, nullptr);
+      local_.RegisterView(op.name, op.query);
       return;
     case WalOpType::kDropView:
-      DropView(op.name);
+      local_.DropView(op.name);
       return;
     case WalOpType::kReshard:
       // Server-mode topology is deployment configuration, not durable
@@ -428,197 +424,11 @@ QueryRun Coordinator::Run(const Query& q) {
   return EvalChainLocally(q);
 }
 
-Distribution Coordinator::ConditionalAggregateDistribution(
-    const QueryRun& run, size_t row_index, const std::string& column) {
-  PVC_CHECK_MSG(!run.distributed,
-                "aggregation columns only occur on coordinator-evaluated "
-                "results (aggregates always gather)");
-  return local_.ConditionalAggregateDistribution(run.local_result, row_index,
-                                                 column);
-}
-
-// -- Materialized views -----------------------------------------------------
-
-Coordinator::RemoteView* Coordinator::FindRemoteView(const std::string& name) {
-  for (RemoteView& view : remote_views_) {
-    if (view.name == name) return &view;
-  }
-  return nullptr;
-}
-
-size_t Coordinator::RegisterView(const std::string& name, QueryPtr query,
-                                 std::vector<std::string>* warnings) {
-  if (std::optional<std::string> driving =
-          placement_.DrivingTable(*query, local_)) {
-    // Validate the chain on the replica first (bad column names and the
-    // like fail here, before any worker state changes; chains intern
-    // nothing, so the replica's pool is undisturbed). The row count of the
-    // materialization is the local count in every case.
-    size_t rows = local_.Run(*query).NumRows();
-
-    FlushVars();
-    RegisterChainViewMsg msg;
-    msg.name = name;
-    msg.table = *driving;
-    msg.query = query;
-    std::string payload = msg.Encode();
-    bool complete = true;
-    for (size_t s = 0; s < workers_.size(); ++s) {
-      if (!LogAndShip(s, MsgKind::kRegisterChainView, payload)) {
-        complete = false;
-      }
-    }
-    if (!complete && !replaying_ && warnings != nullptr) {
-      warnings->push_back(
-          DownWarning("view registered; down workers resync on respawn"));
-    }
-    if (RemoteView* existing = FindRemoteView(name)) {
-      existing->driving = *driving;
-      existing->query = query;
-    } else {
-      remote_views_.push_back({name, *driving, query});
-    }
-    // Remote chain views never materialize on the replica, so the replica
-    // cannot log them: one coordinator-level kRegisterView record covers
-    // the whole branch (its replay re-runs this function).
-    if (WalWriter* wal = local_.wal()) {
-      WalRecord record;
-      record.ops.push_back(WalOp::RegisterView(name, query));
-      LogWalRecord(wal, record);
-    }
-    // A replica view previously under this name retires WITHOUT its own
-    // kDropView record: the kRegisterView replay performs the drop again,
-    // and a paired record would fail replay (the view is already gone).
-    if (local_.HasView(name)) {
-      WalWriter* wal = local_.wal();
-      local_.set_wal(nullptr);
-      local_.DropView(name);
-      local_.set_wal(wal);
-    }
-    return rows;
-  }
-
-  size_t rows = local_.RegisterView(name, std::move(query)).NumRows();
-  // Retire a same-name remote view only now that the replacement exists.
-  for (auto it = remote_views_.begin(); it != remote_views_.end(); ++it) {
-    if (it->name == name) {
-      remote_views_.erase(it);
-      NameMsg msg;
-      msg.name = name;
-      std::string payload = msg.Encode();
-      for (size_t s = 0; s < workers_.size(); ++s) {
-        LogAndShip(s, MsgKind::kDropChainView, payload);
-      }
-      break;
-    }
-  }
-  return rows;
-}
-
-bool Coordinator::HasView(const std::string& name) const {
-  for (const RemoteView& view : remote_views_) {
-    if (view.name == name) return true;
-  }
-  return local_.HasView(name);
-}
-
-void Coordinator::DropView(const std::string& name) {
-  for (auto it = remote_views_.begin(); it != remote_views_.end(); ++it) {
-    if (it->name == name) {
-      remote_views_.erase(it);
-      NameMsg msg;
-      msg.name = name;
-      std::string payload = msg.Encode();
-      for (size_t s = 0; s < workers_.size(); ++s) {
-        LogAndShip(s, MsgKind::kDropChainView, payload);
-      }
-      // Remote views live only in coordinator-level records, so their drop
-      // must log at this level too.
-      if (WalWriter* wal = local_.wal()) {
-        WalRecord record;
-        record.ops.push_back(WalOp::DropView(name));
-        LogWalRecord(wal, record);
-      }
-      return;
-    }
-  }
-  local_.DropView(name);  // Logs its own kDropView when a WAL is attached.
-}
-
-QueryRun Coordinator::PrintView(const std::string& name) {
-  if (RemoteView* view = FindRemoteView(name)) {
-    NameMsg msg;
-    msg.name = name;
-    std::string payload = msg.Encode();
-    std::vector<ChainResultMsg> replies;
-    if (Scatter<ChainResultMsg>(MsgKind::kViewProbs, payload,
-                                MsgKind::kChainResult, &replies)) {
-      Schema schema = replies.empty() ? Schema{} : replies[0].schema;
-      return GatherChainRows(schema, std::move(replies));
-    }
-    // Fallback: recompute on the replica (no cache, identical values).
-    QueryRun run = EvalChainLocally(*view->query);
-    run.warnings.push_back(DownWarning("evaluated on coordinator"));
-    return run;
-  }
-  QueryRun run;
-  PvcTable result = local_.ViewTable(name);  // Copy: refresh + snapshot.
-  run.schema = result.schema();
-  run.text = result.ToString(&local_.pool());
-  run.probabilities = local_.ViewProbabilities(name);
-  run.local_result = std::move(result);
-  return run;
-}
-
-std::vector<ViewInfo> Coordinator::ViewInfos() {
-  std::vector<ViewInfo> infos;
-  for (RemoteView& view : remote_views_) {
-    ViewInfo info;
-    info.name = view.name;
-    info.plan = "chain (per shard)";
-    NameMsg msg;
-    msg.name = view.name;
-    std::string payload = msg.Encode();
-    std::vector<ViewInfoMsg> replies;
-    if (Scatter<ViewInfoMsg>(MsgKind::kViewInfo, payload,
-                             MsgKind::kViewInfoResult, &replies)) {
-      for (const ViewInfoMsg& reply : replies) {
-        info.rows += reply.rows;
-        info.cache_entries += reply.cache_entries;
-      }
-    } else {
-      // Degraded: the row count comes from the replica, cache entries
-      // from whatever workers answered.
-      info.rows = local_.Run(*view.query).NumRows();
-      for (const ViewInfoMsg& reply : replies) {
-        info.cache_entries += reply.cache_entries;
-      }
-    }
-    infos.push_back(std::move(info));
-  }
-  for (const std::string& name : local_.ViewNames()) {
-    infos.push_back(DescribeView(&local_, name));
-  }
-  return infos;
-}
-
 // -- Snapshot-capture hooks -------------------------------------------------
 
 std::string Coordinator::KeyColumnName(const std::string& name) const {
   size_t key_index = placement_.table(name).key_index;
   return local_.table(name).schema().column(key_index).name;
-}
-
-std::vector<std::pair<std::string, QueryPtr>> Coordinator::ViewCatalog()
-    const {
-  std::vector<std::pair<std::string, QueryPtr>> catalog;
-  for (const RemoteView& view : remote_views_) {
-    catalog.emplace_back(view.name, view.query);
-  }
-  for (const std::string& name : local_.ViewNames()) {
-    catalog.emplace_back(name, local_.views().view(name).query());
-  }
-  return catalog;
 }
 
 // -- Evaluation knobs -------------------------------------------------------
@@ -762,13 +572,6 @@ bool Coordinator::ResyncWorker(size_t s, ResyncStats* stats,
     for (const auto& [name, placed] : placement_.tables()) {
       (void)placed;
       ship(MsgKind::kLoadPartition, PartitionFor(name, s).Encode());
-    }
-    for (const RemoteView& view : remote_views_) {
-      RegisterChainViewMsg msg;
-      msg.name = view.name;
-      msg.table = view.driving;
-      msg.query = view.query;
-      ship(MsgKind::kRegisterChainView, msg.Encode());
     }
     SendOptionsTo(s);
     return true;

@@ -6,13 +6,15 @@
 // the load / interning sequence of an unsharded engine -- the documented 2x
 // memory trade-off that buys bit-identity. Everything that gathers in
 // process (joins, projections, aggregates, unions) evaluates on that
-// replica; only the distributable Select/Rename fragment
-// (ShardPlacement::DrivingTable) scatters to the workers. The workers
-// compute each surviving row's probability themselves through
-// IsolatedAnnotationDistribution -- the per-row step II pipeline that is
-// independent of pool history -- so the gathered numbers are bit-identical
-// to the serial single-database engine (and to ShardedDatabase, the
-// in-process reference) at any shard count.
+// replica, and every materialized view lives there: views register, absorb
+// deltas and cache step II on the replica's ViewRegistry exactly as on an
+// unsharded Database, so workers hold no view state. Only distributable
+// Select/Rename queries (ShardPlacement::DrivingTable) scatter to the
+// workers, which compute each surviving row's probability themselves
+// through IsolatedAnnotationDistribution -- the per-row step II pipeline
+// that is independent of pool history -- so the gathered numbers are
+// bit-identical to the serial single-database engine (and to
+// ShardedDatabase, the in-process reference) at any shard count.
 //
 // Degraded mode: any transport failure marks that worker down (WorkerDown)
 // and every distributed path falls back to the local replica, with a
@@ -151,18 +153,17 @@ class Coordinator {
 
   size_t num_shards() const { return workers_.size(); }
 
-  /// The full local replica (catalog, schemas, variable registry). Pool
-  /// state is bit-identical to an unsharded Database fed the same command
-  /// sequence.
+  /// The full local replica (catalog, schemas, variable registry, every
+  /// materialized view). Pool state is bit-identical to an unsharded
+  /// Database fed the same command sequence.
   Database& local() { return local_; }
   const Database& local() const { return local_; }
 
   // -- Durability ----------------------------------------------------------
 
   /// Attaches / detaches the write-ahead log. Records are written by the
-  /// replica (every coordinator mutation replays on it first), plus one
-  /// coordinator-level kRegisterView record for distributable views, which
-  /// never materialize on the replica.
+  /// replica: every coordinator mutation and view registration replays on
+  /// it first.
   void set_wal(WalWriter* wal) { local_.set_wal(wal); }
   WalWriter* wal() const { return local_.wal(); }
 
@@ -192,9 +193,8 @@ class Coordinator {
   /// human-readable summary line per worker in `*lines` (may be null).
   void ReconcileWorkers(std::vector<std::string>* lines);
 
-  /// Snapshot-capture hooks (see CaptureState(const Coordinator&)).
+  /// Snapshot-capture hook (see CaptureState(const Coordinator&)).
   std::string KeyColumnName(const std::string& name) const;
-  std::vector<std::pair<std::string, QueryPtr>> ViewCatalog() const;
 
   // -- Evaluation knobs ----------------------------------------------------
 
@@ -225,7 +225,7 @@ class Coordinator {
   /// are down).
   std::vector<size_t> ShardRowCounts(const std::string& name) const;
 
-  // -- Mutations (stream through IVM on replica, owning worker, views) ----
+  // -- Mutations (stream through IVM on the replica, then the workers) ----
 
   size_t InsertTuple(const std::string& table, std::vector<Cell> cells,
                      double p);
@@ -238,35 +238,6 @@ class Coordinator {
   /// fragment (all workers up), on the local replica otherwise. Rendered
   /// text and probabilities are bit-identical either way.
   QueryRun Run(const Query& q);
-
-  /// P[alpha = v | present] for an aggregation column of a
-  /// non-distributed run.
-  Distribution ConditionalAggregateDistribution(const QueryRun& run,
-                                                size_t row_index,
-                                                const std::string& column);
-
-  // -- Materialized views -------------------------------------------------
-
-  /// Registers a view; the distributable fragment becomes a
-  /// worker-maintained chain view (kRegisterChainView to every live
-  /// worker), everything else registers on the local replica. Returns the
-  /// view's row count.
-  size_t RegisterView(const std::string& name, QueryPtr query,
-                      std::vector<std::string>* warnings);
-
-  bool HasView(const std::string& name) const;
-
-  /// Drops a view by name (remote chain view or replica view). Replay
-  /// target for kDropView records.
-  void DropView(const std::string& name);
-
-  /// The view's tuples + cached probabilities (kViewProbs scatter for
-  /// remote views; replica caches otherwise).
-  QueryRun PrintView(const std::string& name);
-
-  /// One diagnostics line per view, remote chain views first (matching
-  /// ShardedDatabase::ViewInfos order and plan naming).
-  std::vector<ViewInfo> ViewInfos();
 
   // -- Worker management --------------------------------------------------
 
@@ -337,12 +308,6 @@ class Coordinator {
       const std::vector<std::pair<uint64_t, uint32_t>>& tails);
 
  private:
-  struct RemoteView {
-    std::string name;
-    std::string driving;
-    QueryPtr query;
-  };
-
   /// The coordinator-side mirror of one worker's applied-mutation history:
   /// the suffix of logged entries still held in memory, anchored at
   /// (base_lsn, base_chain). chain_at(lsn) reproduces the worker's chain
@@ -382,9 +347,8 @@ class Coordinator {
   /// log, then -- unless replaying or the worker is down -- ships it,
   /// expecting kOk. Transport failure marks the worker down; a worker-side
   /// CheckError marks it diverged. The entry is retained either way (the
-  /// log records what a correct worker must have applied). Returns true
-  /// when the worker acked.
-  bool LogAndShip(size_t s, MsgKind kind, const std::string& payload);
+  /// log records what a correct worker must have applied).
+  void LogAndShip(size_t s, MsgKind kind, const std::string& payload);
 
   /// Shared tail of table registration: places the replica table `name`,
   /// records its row variables and ships one kLoadPartition per shard.
@@ -434,7 +398,6 @@ class Coordinator {
 
   void DeleteRowAt(const std::string& table, size_t row_index);
 
-  RemoteView* FindRemoteView(const std::string& name);
   std::string DownWarning(const char* what) const;
 
   /// Bumps the per-shard scatter-request counter "coord.shard<N>.requests"
@@ -467,7 +430,6 @@ class Coordinator {
   bool replaying_ = false;      ///< Recovery replay: log, don't send.
   /// Per table: the annotation VarId of every global row (respawn resync).
   std::map<std::string, std::vector<VarId>> table_vars_;
-  std::vector<RemoteView> remote_views_;
   /// Lazily resolved "coord.shard<N>.requests" counters, one per shard.
   std::vector<Counter*> shard_request_counters_;
   FaultToleranceOptions ft_options_;

@@ -232,6 +232,21 @@ const PvcTable& Database::ViewTable(const std::string& name) {
   return views_.Table(name, Context());
 }
 
+std::vector<ViewInfo> Database::ViewInfos() {
+  std::vector<ViewInfo> infos;
+  for (const std::string& name : ViewNames()) {
+    const PvcTable& table = ViewTable(name);
+    const MaterializedView& view = views_.view(name);
+    ViewInfo info;
+    info.name = name;
+    info.plan = MaterializedView::PlanName(view.plan());
+    info.rows = table.NumRows();
+    info.cache_entries = view.step_two().LiveEntries(table);
+    infos.push_back(std::move(info));
+  }
+  return infos;
+}
+
 std::vector<double> Database::ViewProbabilities(const std::string& name) {
   // Refresh a stale view before opening the evaluation scope -- the
   // recompute itself only reads tables, never the variable registry.

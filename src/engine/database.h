@@ -45,6 +45,14 @@ Distribution IsolatedAnnotationDistribution(const ExprPool& source,
                                             const CompileOptions& options,
                                             int intra_tree_threads = 0);
 
+/// The `views` diagnostics line of one materialized view.
+struct ViewInfo {
+  std::string name;
+  std::string plan;  ///< The view's plan name (MaterializedView::PlanName).
+  size_t rows = 0;
+  size_t cache_entries = 0;  ///< Live step II cache entries.
+};
+
 /// A probabilistic database: named pvc-tables + the variable table X + the
 /// expression pool, plus query evaluation and probability computation.
 class Database {
@@ -155,6 +163,10 @@ class Database {
 
   /// Registry access for diagnostics (plan kinds, cache stats).
   const ViewRegistry& views() const { return views_; }
+
+  /// One diagnostics line per view, in registration order (refreshes stale
+  /// views first).
+  std::vector<ViewInfo> ViewInfos();
 
   // -- Step I: computing result tuples ------------------------------------
 

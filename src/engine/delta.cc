@@ -217,10 +217,4 @@ void StepTwoCache::OnVariableUpdate(VarId var, const VariableTable& variables,
   }
 }
 
-void StepTwoCache::Clear() {
-  entries_.clear();
-  var_index_.clear();
-  lru_.clear();
-}
-
 }  // namespace pvcdb

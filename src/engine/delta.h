@@ -134,7 +134,6 @@ class StepTwoCache {
   void OnVariableUpdate(VarId var, const VariableTable& variables,
                         const Semiring& semiring, bool same_support);
 
-  void Clear();
   size_t size() const { return entries_.size(); }
   /// Number of distinct annotations of `table`'s current rows with a cache
   /// entry. Unlike size(), this excludes dead entries left behind by

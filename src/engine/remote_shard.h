@@ -11,7 +11,7 @@
 // rethrown as CheckError, exactly as the in-process engine would have
 // thrown it. Once down, a stub stays down until the server respawns the
 // worker and hands the coordinator a fresh connection
-// (Coordinator::ReplaceWorker). A timed-out request is NEVER resent on the
+// (Coordinator::Respawn). A timed-out request is NEVER resent on the
 // same connection: a late reply would desync the one-request/one-reply
 // conversation, and a timeout can strike mid-frame, losing the stream
 // position entirely. Recovery happens at resync, where the worker's
@@ -101,20 +101,6 @@ class RemoteShard {
 
   /// Gather half of Call; same contract as Call's reply handling.
   std::string RecvReply(MsgKind expect);
-
-  // -- Typed conveniences (all built on Call) -----------------------------
-
-  void SyncVars(const SyncVarsMsg& msg);
-  void UpdateVar(VarId var, double probability);
-  uint64_t LoadPartition(const LoadPartitionMsg& msg);
-  void AppendRow(const AppendRowMsg& msg);
-  void DeleteRow(const DeleteRowMsg& msg);
-  ChainResultMsg EvalChain(const EvalChainMsg& msg);
-  ProbsResultMsg TableProbs(const TableProbsMsg& msg);
-  uint64_t RegisterChainView(const RegisterChainViewMsg& msg);
-  void DropChainView(const std::string& name);
-  ChainResultMsg ViewProbs(const std::string& name);
-  ViewInfoMsg ViewInfo(const std::string& name);
 
   /// Heartbeat. Sends kPing{nonce}; on success fills `*pong` (if non-null)
   /// with the worker's echoed nonce and (lsn, chain) position. False — and

@@ -107,17 +107,6 @@ std::optional<std::string> ShardPlacement::DrivingTable(
   return driving;
 }
 
-ViewInfo DescribeView(Database* db, const std::string& name) {
-  const PvcTable& table = db->ViewTable(name);
-  const MaterializedView& view = db->views().view(name);
-  ViewInfo info;
-  info.name = name;
-  info.plan = MaterializedView::PlanName(view.plan());
-  info.rows = table.NumRows();
-  info.cache_entries = view.step_two().LiveEntries(table);
-  return info;
-}
-
 // -- ShardedDatabase ----------------------------------------------------------
 
 ShardedDatabase::ShardedDatabase(size_t num_shards, SemiringKind semiring)
@@ -218,41 +207,6 @@ size_t ShardedDatabase::DeleteTuple(const std::string& table,
   return DeleteRowsMatchingKey(
       coordinator_.table(table), key,
       [&](size_t index) { DeleteRowAt(table, index); });
-}
-
-// -- Materialized views -------------------------------------------------------
-
-bool ShardedDatabase::IsChainView(const std::string& name) const {
-  const Query& query = *coordinator_.views().view(name).query();
-  return placement_.DrivingTable(query, coordinator_).has_value();
-}
-
-std::vector<std::string> ShardedDatabase::ViewNames() const {
-  std::vector<std::string> names;
-  for (bool chain : {true, false}) {
-    for (const std::string& name : coordinator_.ViewNames()) {
-      if (IsChainView(name) == chain) names.push_back(name);
-    }
-  }
-  return names;
-}
-
-std::vector<std::pair<std::string, QueryPtr>> ShardedDatabase::ViewCatalog()
-    const {
-  std::vector<std::pair<std::string, QueryPtr>> catalog;
-  for (const std::string& name : ViewNames()) {
-    catalog.emplace_back(name, coordinator_.views().view(name).query());
-  }
-  return catalog;
-}
-
-std::vector<ViewInfo> ShardedDatabase::ViewInfos() {
-  std::vector<ViewInfo> infos;
-  for (const std::string& name : ViewNames()) {
-    infos.push_back(DescribeView(&coordinator_, name));
-    if (IsChainView(name)) infos.back().plan = "chain (per shard)";
-  }
-  return infos;
 }
 
 }  // namespace pvcdb

@@ -12,11 +12,11 @@
 //
 // ShardedDatabase is the in-process reference: one Database that every
 // evaluation, mutation, view and step II pass delegates to, plus the
-// placement that gives shard-aware surfaces (`tables` per-shard counts, the
-// "chain (per shard)" view plan, snapshot key columns) the Coordinator's
-// answers. Its results are the serial single-database engine's -- the
-// oracle every sharded and threaded path must match bit for bit.
-// Parallelism comes from EvalOptions::num_threads, as on a plain Database.
+// placement that gives shard-aware surfaces (`tables` per-shard counts,
+// snapshot key columns) the Coordinator's answers. Its results are the
+// serial single-database engine's -- the oracle every sharded and threaded
+// path must match bit for bit. Parallelism comes from
+// EvalOptions::num_threads, as on a plain Database.
 
 #ifndef PVCDB_ENGINE_SHARD_H_
 #define PVCDB_ENGINE_SHARD_H_
@@ -91,18 +91,6 @@ class ShardPlacement {
   size_t num_shards_;
   std::map<std::string, Table> tables_;
 };
-
-/// The `views` diagnostics line of one view.
-struct ViewInfo {
-  std::string name;
-  std::string plan;  ///< "chain (per shard)" or the view's plan name.
-  size_t rows = 0;
-  size_t cache_entries = 0;  ///< Live step II cache entries.
-};
-
-/// ViewInfo of the view `name` registered on `db` (refreshes a stale
-/// view's result).
-ViewInfo DescribeView(Database* db, const std::string& name);
 
 /// A database whose tables are placed across `num_shards` shards, over one
 /// Database that does all the work. See the file comment; the API mirrors
@@ -204,13 +192,10 @@ class ShardedDatabase {
   }
   void DropView(const std::string& name) { coordinator_.DropView(name); }
 
-  /// View names, chain views (those a shard tier maintains per shard)
-  /// first, each group in registration order.
-  std::vector<std::string> ViewNames() const;
-
-  /// (name, query) of every view in ViewNames() order: the order snapshot
-  /// capture records and recovery re-registers them in.
-  std::vector<std::pair<std::string, QueryPtr>> ViewCatalog() const;
+  /// View names in registration order.
+  std::vector<std::string> ViewNames() const {
+    return coordinator_.ViewNames();
+  }
 
   /// The view's cached step I result.
   PvcTable ViewResult(const std::string& name) {
@@ -221,10 +206,6 @@ class ShardedDatabase {
   std::vector<double> ViewProbabilities(const std::string& name) {
     return coordinator_.ViewProbabilities(name);
   }
-
-  /// One diagnostics line per view, in ViewNames() order; chain views carry
-  /// the plan "chain (per shard)", as on the Coordinator.
-  std::vector<ViewInfo> ViewInfos();
 
   // -- Step I ---------------------------------------------------------------
 
@@ -268,15 +249,7 @@ class ShardedDatabase {
                                                          column);
   }
 
-  /// Tabular rendering of a result.
-  std::string ResultToString(const PvcTable& result) const {
-    return result.ToString(&coordinator_.pool());
-  }
-
  private:
-  /// True when view `name` is a chain view (see ViewNames).
-  bool IsChainView(const std::string& name) const;
-
   /// Places the coordinator's freshly (re)loaded `name`, logging `record`.
   void PlaceLoadedTable(const std::string& name, size_t key_index,
                         const WalRecord& record);

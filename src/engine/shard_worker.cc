@@ -1,11 +1,9 @@
 #include "src/engine/shard_worker.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <utility>
 
 #include "src/engine/shard.h"
-#include "src/engine/view.h"
 #include "src/net/frame.h"
 #include "src/util/check.h"
 #include "src/util/codec.h"
@@ -27,8 +25,6 @@ bool ShardWorker::IsLoggedMutation(MsgKind kind) {
     case MsgKind::kLoadPartition:
     case MsgKind::kAppendRow:
     case MsgKind::kDeleteRow:
-    case MsgKind::kRegisterChainView:
-    case MsgKind::kDropChainView:
       return true;
     default:
       return false;
@@ -50,7 +46,6 @@ uint32_t ShardWorker::NextChain(uint32_t chain, MsgKind kind,
 void ShardWorker::ResetState() {
   db_ = std::make_unique<Database>(semiring_);
   tables_.clear();
-  views_.clear();
   lsn_ = 0;
   chain_ = 0;
 }
@@ -83,16 +78,7 @@ void ShardWorker::HandleSyncVars(const SyncVarsMsg& msg) {
 void ShardWorker::HandleUpdateVar(const UpdateVarMsg& msg) {
   PVC_CHECK_MSG(msg.var < db_->variables().size(),
                 "unknown variable id " << msg.var);
-  // The same refresh-or-drop decision Database::UpdateProbability makes
-  // for its view caches.
-  bool same_support = SameSupport(db_->variables().DistributionOf(msg.var),
-                                  Distribution::Bernoulli(msg.probability));
   db_->UpdateProbability(msg.var, msg.probability);
-  const Semiring& semiring = db_->pool().semiring();
-  for (auto& view : views_) {
-    view->cache.OnVariableUpdate(msg.var, db_->variables(), semiring,
-                                 same_support);
-  }
 }
 
 uint64_t ShardWorker::HandleLoadPartition(const LoadPartitionMsg& msg) {
@@ -112,9 +98,6 @@ uint64_t ShardWorker::HandleLoadPartition(const LoadPartitionMsg& msg) {
   TableState& state = tables_[msg.table];
   state.global.assign(msg.global_rows.begin(), msg.global_rows.end());
   state.augmented_valid = false;
-  for (auto& view : views_) {
-    if (view->driving == msg.table) SeedView(view.get());
-  }
   return msg.rows.size();
 }
 
@@ -131,12 +114,6 @@ void ShardWorker::HandleAppendRow(const AppendRowMsg& msg) {
     std::vector<Cell> extended = msg.cells;
     extended.emplace_back(static_cast<int64_t>(msg.global_row));
     state.augmented.AddRow(std::move(extended), annotation);
-  }
-  for (auto& view : views_) {
-    if (view->driving == msg.table) {
-      ApplyViewInsert(view.get(), static_cast<int64_t>(msg.global_row),
-                      msg.cells, annotation);
-    }
   }
 }
 
@@ -159,9 +136,6 @@ void ShardWorker::HandleDeleteRow(const DeleteRowMsg& msg) {
     if (id > g) --id;
   }
   state.augmented_valid = false;
-  for (auto& view : views_) {
-    if (view->driving == msg.table) ApplyViewDelete(view.get(), g);
-  }
 }
 
 const PvcTable& ShardWorker::AugmentedPartition(const std::string& table) {
@@ -184,61 +158,44 @@ const PvcTable& ShardWorker::AugmentedPartition(const std::string& table) {
   return state.augmented;
 }
 
-void ShardWorker::EvalChainParts(const Query& q, const std::string& table,
-                                 Schema* schema, PvcTable* part,
-                                 std::vector<int64_t>* global) {
-  const PvcTable& augmented = AugmentedPartition(table);
+ChainResultMsg ShardWorker::HandleEvalChain(const EvalChainMsg& msg) {
+  // This shard's half of the scatter: the chain over the partition extended
+  // with the provenance column.
+  const PvcTable& augmented = AugmentedPartition(msg.table);
   QueryEvaluator evaluator(
       &db_->pool(),
       [&](const std::string& name) -> const PvcTable& {
-        if (name == table) return augmented;
+        if (name == msg.table) return augmented;
         return db_->table(name);
       },
       EvalMode::kProbabilistic, db_->eval_options());
   PvcTable result = [&] {
     PVCDB_SPAN(step1_span, "step1");
-    return evaluator.Eval(q);
+    return evaluator.Eval(*msg.query);
   }();
 
   size_t rowid_index = result.schema().IndexOf(kShardRowIdColumn);
   std::vector<Column> out_columns = result.schema().columns();
   out_columns.erase(out_columns.begin() + static_cast<ptrdiff_t>(rowid_index));
-  *schema = Schema{std::move(out_columns)};
-  PvcTable stripped{*schema};
-  global->clear();
-  for (size_t j = 0; j < result.NumRows(); ++j) {
-    const Row& r = result.row(j);
-    global->push_back(r.cells[rowid_index].AsInt());
-    std::vector<Cell> cells = r.cells;
-    cells.erase(cells.begin() + static_cast<ptrdiff_t>(rowid_index));
-    stripped.AddRow(std::move(cells), r.annotation);
-  }
-  *part = std::move(stripped);
-}
-
-ChainResultMsg ShardWorker::HandleEvalChain(const EvalChainMsg& msg) {
-  Schema schema;
-  PvcTable part{Schema{}};
-  std::vector<int64_t> global;
-  EvalChainParts(*msg.query, msg.table, &schema, &part, &global);
 
   // Step II per surviving row: the shared pipeline, so the probability is
   // independent of this worker's pool history (bit-identity with the
   // serial single-database engine).
   VariableTable::EvalScope scope(db_->variables());
   ChainResultMsg reply;
-  reply.schema = schema;
-  reply.rows.reserve(part.NumRows());
+  reply.schema = Schema{std::move(out_columns)};
+  reply.rows.reserve(result.NumRows());
   const CompileOptions& compile_options = db_->compile_options();
   int intra_tree = db_->eval_options().intra_tree_threads;
-  for (size_t j = 0; j < part.NumRows(); ++j) {
-    const Row& r = part.row(j);
+  for (size_t j = 0; j < result.NumRows(); ++j) {
+    const Row& r = result.row(j);
     const ExprNode& node = db_->pool().node(r.annotation);
     PVC_CHECK_MSG(node.kind == ExprKind::kVar,
                   "distributable chain produced a non-variable annotation");
     ChainRow row;
-    row.global_row = static_cast<uint64_t>(global[j]);
+    row.global_row = static_cast<uint64_t>(r.cells[rowid_index].AsInt());
     row.cells = r.cells;
+    row.cells.erase(row.cells.begin() + static_cast<ptrdiff_t>(rowid_index));
     row.var = node.var();
     Distribution d = IsolatedAnnotationDistribution(
         db_->pool(), db_->variables(), r.annotation, compile_options,
@@ -248,133 +205,6 @@ ChainResultMsg ShardWorker::HandleEvalChain(const EvalChainMsg& msg) {
     reply.rows.push_back(std::move(row));
   }
   return reply;
-}
-
-ProbsResultMsg ShardWorker::HandleTableProbs(const TableProbsMsg& msg) {
-  TableState& state = StateOf(msg.table);
-  const PvcTable& partition = db_->table(msg.table);
-  VariableTable::EvalScope scope(db_->variables());
-  ProbsResultMsg reply;
-  reply.rows.reserve(partition.NumRows());
-  const CompileOptions& compile_options = db_->compile_options();
-  int intra_tree = db_->eval_options().intra_tree_threads;
-  for (size_t j = 0; j < partition.NumRows(); ++j) {
-    ProbRow row;
-    row.global_row = static_cast<uint64_t>(state.global[j]);
-    Distribution d = IsolatedAnnotationDistribution(
-        db_->pool(), db_->variables(), partition.row(j).annotation,
-        compile_options, intra_tree);
-    row.probability = NonZeroMass(d);
-    if (msg.want_distributions) row.distribution = std::move(d);
-    reply.rows.push_back(std::move(row));
-  }
-  return reply;
-}
-
-ShardWorker::WorkerView* ShardWorker::FindView(const std::string& name) {
-  for (auto& view : views_) {
-    if (view->name == name) return view.get();
-  }
-  return nullptr;
-}
-
-void ShardWorker::SeedView(WorkerView* view) {
-  EvalChainParts(*view->query, view->driving, &view->schema, &view->part,
-                 &view->global);
-  view->cache.Clear();
-}
-
-uint64_t ShardWorker::HandleRegisterChainView(RegisterChainViewMsg msg) {
-  auto view = std::make_unique<WorkerView>();
-  view->name = msg.name;
-  view->driving = msg.table;
-  view->query = std::move(msg.query);
-  SeedView(view.get());
-  uint64_t rows = view->part.NumRows();
-  // Build-then-replace, like ViewRegistry::Register: a failed seed above
-  // leaves any existing view of the name untouched.
-  for (auto it = views_.begin(); it != views_.end(); ++it) {
-    if ((*it)->name == view->name) {
-      *it = std::move(view);
-      return rows;
-    }
-  }
-  views_.push_back(std::move(view));
-  return rows;
-}
-
-void ShardWorker::ApplyViewInsert(WorkerView* view, int64_t global_row,
-                                  const std::vector<Cell>& cells,
-                                  ExprId annotation) {
-  // The delta-row pipeline of the single-database chain views.
-  const PvcTable& partition = db_->table(view->driving);
-  std::vector<Column> columns = partition.schema().columns();
-  columns.push_back({kShardRowIdColumn, CellType::kInt});
-  Schema augmented{std::move(columns)};
-  Row delta_row;
-  delta_row.cells = cells;
-  delta_row.cells.emplace_back(global_row);
-  delta_row.annotation = annotation;
-  std::optional<Row> out =
-      EvalChainOnSingleRow(&db_->pool(), *view->query, view->driving,
-                           augmented, delta_row, db_->eval_options());
-  if (!out.has_value()) return;
-  size_t rowid_index = partition.schema().NumColumns();
-  PVC_CHECK_MSG(out->cells.size() == view->schema.NumColumns() + 1,
-                "chain output arity does not match the view schema");
-  out->cells.erase(out->cells.begin() + static_cast<ptrdiff_t>(rowid_index));
-  view->part.AddRow(std::move(*out));
-  view->global.push_back(global_row);
-}
-
-void ShardWorker::ApplyViewDelete(WorkerView* view, int64_t global_row) {
-  // Drop the derived row if this partition holds it, then shift later
-  // driving-row ids.
-  auto pos = std::lower_bound(view->global.begin(), view->global.end(),
-                              global_row);
-  if (pos != view->global.end() && *pos == global_row) {
-    size_t r = static_cast<size_t>(pos - view->global.begin());
-    view->part.DeleteRow(r);
-    view->global.erase(pos);
-  }
-  for (int64_t& id : view->global) {
-    if (id > global_row) --id;
-  }
-}
-
-ChainResultMsg ShardWorker::HandleViewProbs(const std::string& name) {
-  WorkerView* view = FindView(name);
-  PVC_CHECK_MSG(view != nullptr,
-                "worker " << shard_index_ << " has no view '" << name << "'");
-  VariableTable::EvalScope scope(db_->variables());
-  // The cached pass of Database::ViewProbabilities over this partition.
-  std::vector<double> probs =
-      view->cache.Probabilities(db_->pool(), db_->variables(), view->part,
-                                db_->compile_options(), db_->eval_options());
-  ChainResultMsg reply;
-  reply.schema = view->schema;
-  reply.rows.reserve(view->part.NumRows());
-  for (size_t j = 0; j < view->part.NumRows(); ++j) {
-    const Row& r = view->part.row(j);
-    const ExprNode& node = db_->pool().node(r.annotation);
-    ChainRow row;
-    row.global_row = static_cast<uint64_t>(view->global[j]);
-    row.cells = r.cells;
-    row.var = node.kind == ExprKind::kVar ? node.var() : 0;
-    row.probability = probs[j];
-    reply.rows.push_back(std::move(row));
-  }
-  return reply;
-}
-
-ViewInfoMsg ShardWorker::HandleViewInfo(const std::string& name) {
-  WorkerView* view = FindView(name);
-  PVC_CHECK_MSG(view != nullptr,
-                "worker " << shard_index_ << " has no view '" << name << "'");
-  ViewInfoMsg info;
-  info.rows = view->part.NumRows();
-  info.cache_entries = view->cache.LiveEntries(view->part);
-  return info;
 }
 
 bool ShardWorker::Handle(MsgKind kind, const std::string& payload,
@@ -445,48 +275,6 @@ bool ShardWorker::Handle(MsgKind kind, const std::string& payload,
         if (!EvalChainMsg::Decode(payload, &msg)) break;
         *reply_kind = MsgKind::kChainResult;
         *reply_payload = HandleEvalChain(msg).Encode();
-        return true;
-      }
-      case MsgKind::kTableProbs: {
-        TableProbsMsg msg;
-        if (!TableProbsMsg::Decode(payload, &msg)) break;
-        *reply_kind = MsgKind::kProbsResult;
-        *reply_payload = HandleTableProbs(msg).Encode();
-        return true;
-      }
-      case MsgKind::kRegisterChainView: {
-        RegisterChainViewMsg msg;
-        if (!RegisterChainViewMsg::Decode(payload, &msg)) break;
-        uint64_t rows = HandleRegisterChainView(std::move(msg));
-        applied();
-        ok(rows);
-        return true;
-      }
-      case MsgKind::kDropChainView: {
-        NameMsg msg;
-        if (!NameMsg::Decode(payload, &msg)) break;
-        for (auto it = views_.begin(); it != views_.end(); ++it) {
-          if ((*it)->name == msg.name) {
-            views_.erase(it);
-            break;
-          }
-        }
-        applied();
-        ok(0);
-        return true;
-      }
-      case MsgKind::kViewProbs: {
-        NameMsg msg;
-        if (!NameMsg::Decode(payload, &msg)) break;
-        *reply_kind = MsgKind::kChainResult;
-        *reply_payload = HandleViewProbs(msg.name).Encode();
-        return true;
-      }
-      case MsgKind::kViewInfo: {
-        NameMsg msg;
-        if (!NameMsg::Decode(payload, &msg)) break;
-        *reply_kind = MsgKind::kViewInfoResult;
-        *reply_payload = HandleViewInfo(msg.name).Encode();
         return true;
       }
       case MsgKind::kSetOptions: {

@@ -5,9 +5,10 @@
 // A worker holds a Database with its partition tables (the rows
 // ShardPlacement assigns to this shard, annotated by re-interned shared
 // variables), a replica of the shared VariableTable (replayed in Add order
-// through kSyncVars, so ids line up by construction), the
-// provenance-extended partitions of tables serving distributed plans, and
-// per-shard chain views with their step II caches:
+// through kSyncVars, so ids line up by construction), and the
+// provenance-extended partitions of tables serving distributed plans. It
+// keeps no materialized views: every view lives in the coordinator's
+// replica.
 //
 //  - kEvalChain evaluates a Select/Rename chain with a QueryEvaluator over
 //    the partition extended with the hidden kShardRowIdColumn; surviving
@@ -20,12 +21,8 @@
 //    single-database result bit for bit (chains preserve row order and
 //    leave annotations untouched).
 //  - kAppendRow / kDeleteRow apply the coordinator's routed deltas
-//    (including the broadcast global-row shift on deletes), and chain
-//    views absorb them through EvalChainOnSingleRow, the delta-row
-//    pipeline of the single-database chain views (src/engine/view.h).
-//  - kViewProbs serves cached per-row view probabilities from a
-//    StepTwoCache, with kUpdateVar driving the same refresh-or-drop rule as
-//    Database::UpdateProbability.
+//    (including the broadcast global-row shift on deletes), and kUpdateVar
+//    its marginal updates.
 //
 // A worker never crashes its connection on bad input: malformed payloads
 // and failed engine invariants (CheckError) become kError replies.
@@ -106,49 +103,21 @@ class ShardWorker {
     PvcTable augmented{Schema{}};  ///< Partition + provenance column.
   };
 
-  /// This shard's partition of a chain view's result.
-  struct WorkerView {
-    std::string name;
-    std::string driving;
-    QueryPtr query;
-    Schema schema;  ///< Output schema (provenance column stripped).
-    PvcTable part{Schema{}};
-    std::vector<int64_t> global;
-    StepTwoCache cache;
-  };
-
   void HandleSyncVars(const SyncVarsMsg& msg);
   void HandleUpdateVar(const UpdateVarMsg& msg);
   uint64_t HandleLoadPartition(const LoadPartitionMsg& msg);
   void HandleAppendRow(const AppendRowMsg& msg);
   void HandleDeleteRow(const DeleteRowMsg& msg);
   ChainResultMsg HandleEvalChain(const EvalChainMsg& msg);
-  ProbsResultMsg HandleTableProbs(const TableProbsMsg& msg);
-  uint64_t HandleRegisterChainView(RegisterChainViewMsg msg);
-  ChainResultMsg HandleViewProbs(const std::string& name);
-  ViewInfoMsg HandleViewInfo(const std::string& name);
 
   /// The partition extended with kShardRowIdColumn (built lazily, kept
   /// across queries, extended in place on appends, invalidated on deletes
   /// and reloads).
   const PvcTable& AugmentedPartition(const std::string& table);
 
-  /// Evaluates the chain over the augmented partition and strips the
-  /// provenance column: this shard's half of the scatter. Fills `schema`,
-  /// `part`, `global`.
-  void EvalChainParts(const Query& q, const std::string& table,
-                      Schema* schema, PvcTable* part,
-                      std::vector<int64_t>* global);
-
-  WorkerView* FindView(const std::string& name);
-  void SeedView(WorkerView* view);
-  void ApplyViewInsert(WorkerView* view, int64_t global_row,
-                       const std::vector<Cell>& cells, ExprId annotation);
-  void ApplyViewDelete(WorkerView* view, int64_t global_row);
-
   TableState& StateOf(const std::string& table);
 
-  /// Drops every table, view, variable and the (lsn, chain) position:
+  /// Drops every table, variable and the (lsn, chain) position:
   /// kReset, the precondition of a full resync.
   void ResetState();
 
@@ -161,7 +130,6 @@ class ShardWorker {
   uint32_t shard_index_ = 0;
   uint32_t num_shards_ = 1;
   std::map<std::string, TableState> tables_;
-  std::vector<std::unique_ptr<WorkerView>> views_;
   uint64_t lsn_ = 0;
   uint32_t chain_ = 0;
 };

@@ -63,6 +63,14 @@ void CaptureVariables(const VariableTable& variables,
   }
 }
 
+/// Every view of `db` in registration order: the order recovery
+/// re-registers them in.
+void CaptureViews(const Database& db, std::vector<WalOp>* ops) {
+  for (const std::string& name : db.ViewNames()) {
+    ops->push_back(WalOp::RegisterView(name, db.views().view(name).query()));
+  }
+}
+
 std::vector<std::vector<Cell>> RowCells(const PvcTable& table) {
   std::vector<std::vector<Cell>> rows;
   rows.reserve(table.NumRows());
@@ -95,9 +103,7 @@ EngineState CaptureState(const Database& db) {
                                            RowCells(table),
                                            RowVariables(db.pool(), table)));
   }
-  for (const std::string& name : db.ViewNames()) {
-    state.ops.push_back(WalOp::RegisterView(name, db.views().view(name).query()));
-  }
+  CaptureViews(db, &state.ops);
   return state;
 }
 
@@ -112,9 +118,7 @@ EngineState CaptureState(const ShardedDatabase& db) {
         name, table.schema(), db.KeyColumnName(name), RowCells(table),
         RowVariables(db.coordinator().pool(), table)));
   }
-  for (const auto& [name, query] : db.ViewCatalog()) {
-    state.ops.push_back(WalOp::RegisterView(name, query));
-  }
+  CaptureViews(db.coordinator(), &state.ops);
   return state;
 }
 
@@ -129,9 +133,7 @@ EngineState CaptureState(const Coordinator& coordinator) {
         name, table.schema(), coordinator.KeyColumnName(name),
         RowCells(table), RowVariables(coordinator.local().pool(), table)));
   }
-  for (const auto& [name, query] : coordinator.ViewCatalog()) {
-    state.ops.push_back(WalOp::RegisterView(name, query));
-  }
+  CaptureViews(coordinator.local(), &state.ops);
   // Record where the shard logs end: recovery rebases its rebuilt logs to
   // these positions so surviving workers keep their tail-resync proof.
   state.shard_tails = coordinator.ShardTails();

@@ -174,51 +174,6 @@ bool EvalChainMsg::Decode(const std::string& payload, EvalChainMsg* out) {
   return out->query != nullptr && reader.ok() && reader.AtEnd();
 }
 
-std::string TableProbsMsg::Encode() const {
-  std::string out;
-  EncodeString(&out, table);
-  EncodeU8(&out, want_distributions ? 1 : 0);
-  return out;
-}
-
-bool TableProbsMsg::Decode(const std::string& payload, TableProbsMsg* out) {
-  ByteReader reader(payload);
-  out->table = reader.ReadString();
-  uint8_t flag = reader.ReadU8();
-  if (flag > 1) return false;
-  out->want_distributions = flag == 1;
-  return reader.ok() && reader.AtEnd();
-}
-
-std::string RegisterChainViewMsg::Encode() const {
-  std::string out;
-  EncodeString(&out, name);
-  EncodeString(&out, table);
-  EncodeQuery(&out, *query);
-  return out;
-}
-
-bool RegisterChainViewMsg::Decode(const std::string& payload,
-                                  RegisterChainViewMsg* out) {
-  ByteReader reader(payload);
-  out->name = reader.ReadString();
-  out->table = reader.ReadString();
-  out->query = DecodeQuery(&reader);
-  return out->query != nullptr && reader.ok() && reader.AtEnd();
-}
-
-std::string NameMsg::Encode() const {
-  std::string out;
-  EncodeString(&out, name);
-  return out;
-}
-
-bool NameMsg::Decode(const std::string& payload, NameMsg* out) {
-  ByteReader reader(payload);
-  out->name = reader.ReadString();
-  return reader.ok() && reader.AtEnd();
-}
-
 std::string ChainResultMsg::Encode() const {
   std::string out;
   EncodeSchema(&out, schema);
@@ -249,47 +204,6 @@ bool ChainResultMsg::Decode(const std::string& payload, ChainResultMsg* out) {
     row.distribution = DecodeDistribution(&reader);
     out->rows.push_back(std::move(row));
   }
-  return reader.ok() && reader.AtEnd();
-}
-
-std::string ProbsResultMsg::Encode() const {
-  std::string out;
-  EncodeU64(&out, rows.size());
-  for (const ProbRow& row : rows) {
-    EncodeU64(&out, row.global_row);
-    EncodeDouble(&out, row.probability);
-    EncodeDistribution(&out, row.distribution);
-  }
-  return out;
-}
-
-bool ProbsResultMsg::Decode(const std::string& payload, ProbsResultMsg* out) {
-  ByteReader reader(payload);
-  uint64_t n = reader.ReadU64();
-  if (n > reader.remaining()) return false;
-  out->rows.clear();
-  out->rows.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    ProbRow row;
-    row.global_row = reader.ReadU64();
-    row.probability = reader.ReadDouble();
-    row.distribution = DecodeDistribution(&reader);
-    out->rows.push_back(std::move(row));
-  }
-  return reader.ok() && reader.AtEnd();
-}
-
-std::string ViewInfoMsg::Encode() const {
-  std::string out;
-  EncodeU64(&out, rows);
-  EncodeU64(&out, cache_entries);
-  return out;
-}
-
-bool ViewInfoMsg::Decode(const std::string& payload, ViewInfoMsg* out) {
-  ByteReader reader(payload);
-  out->rows = reader.ReadU64();
-  out->cache_entries = reader.ReadU64();
   return reader.ok() && reader.AtEnd();
 }
 

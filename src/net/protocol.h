@@ -14,10 +14,11 @@
 //      order), so ids line up by construction and the worker checks
 //      `first_id == variables().size()` before applying.
 //   3. Data plane: kLoadPartition / kAppendRow / kDeleteRow carry the
-//      partitions ShardPlacement assigns and the IVM delta stream;
-//      kEvalChain / kTableProbs / kViewProbs are the scatter half of
-//      scatter-gather and return kChainResult / kProbsResult with
-//      per-global-row payloads the coordinator merges by global row order.
+//      partitions ShardPlacement assigns and the row delta stream;
+//      kEvalChain is the scatter half of scatter-gather and returns
+//      kChainResult with per-global-row payloads the coordinator merges by
+//      global row order. Workers keep no materialized views: every view
+//      lives in the coordinator's replica.
 //
 // Every request either succeeds with its typed reply or fails with kError
 // {text}; a worker never crashes the connection on a malformed payload
@@ -55,7 +56,10 @@ namespace pvcdb {
 /// durability position so every heartbeat doubles as a (lsn, chain) probe
 /// (the coordinator's health cycle and its exactly-once mutation
 /// resolution both ride on it).
-constexpr uint32_t kProtocolVersion = 4;
+/// Version 5 removed the worker-side materialized views (four request
+/// kinds and one reply kind) and the never-sent table-probabilities
+/// request/reply pair; the remaining kinds keep their numbers.
+constexpr uint32_t kProtocolVersion = 5;
 
 /// Frame kind bytes. Requests are < 64, replies 64–127, client traffic
 /// >= 128 — the ranges make a reply-where-request-expected bug an
@@ -69,13 +73,8 @@ enum class MsgKind : uint8_t {
   kAppendRow = 5,
   kDeleteRow = 6,
   kEvalChain = 7,
-  kTableProbs = 8,
-  kRegisterChainView = 9,
-  kDropChainView = 10,
-  kViewProbs = 11,
   kPing = 12,
   kShutdown = 13,
-  kViewInfo = 14,
   kSetOptions = 15,
   kReplayTail = 16,
   kShipWal = 17,
@@ -86,9 +85,7 @@ enum class MsgKind : uint8_t {
   kOk = 65,
   kError = 66,
   kChainResult = 67,
-  kProbsResult = 68,
   kPong = 69,
-  kViewInfoResult = 70,
   kTailInfo = 71,
   kStatsReply = 72,
   // Client ↔ front-end server.
@@ -195,37 +192,6 @@ struct EvalChainMsg {
   static bool Decode(const std::string& payload, EvalChainMsg* out);
 };
 
-/// Asks for P / full marginals of every row in the worker's partition of
-/// `table` (batch tuple confidence, the gather side of TupleProbabilities).
-struct TableProbsMsg {
-  std::string table;
-  bool want_distributions = false;
-
-  std::string Encode() const;
-  static bool Decode(const std::string& payload, TableProbsMsg* out);
-};
-
-/// Registers a worker-maintained chain view over `table`'s partition; the
-/// worker keeps its part materialized and serves kViewProbs from its
-/// per-shard step-two cache.
-struct RegisterChainViewMsg {
-  std::string name;
-  std::string table;
-  QueryPtr query;
-
-  std::string Encode() const;
-  static bool Decode(const std::string& payload, RegisterChainViewMsg* out);
-};
-
-/// A request identified only by a name: kDropChainView and kViewProbs
-/// (view name), kTableProbs uses its own struct above.
-struct NameMsg {
-  std::string name;
-
-  std::string Encode() const;
-  static bool Decode(const std::string& payload, NameMsg* out);
-};
-
 /// One surviving row of a distributed chain evaluation.
 struct ChainRow {
   uint64_t global_row = 0;   ///< Provenance: driving row in global order.
@@ -242,30 +208,6 @@ struct ChainResultMsg {
 
   std::string Encode() const;
   static bool Decode(const std::string& payload, ChainResultMsg* out);
-};
-
-/// One row's confidence in a kProbsResult.
-struct ProbRow {
-  uint64_t global_row = 0;
-  double probability = 0.0;
-  Distribution distribution;  ///< Empty unless want_distributions.
-};
-
-/// Reply to kTableProbs.
-struct ProbsResultMsg {
-  std::vector<ProbRow> rows;
-
-  std::string Encode() const;
-  static bool Decode(const std::string& payload, ProbsResultMsg* out);
-};
-
-/// Reply to kViewInfo (the `views` diagnostics line).
-struct ViewInfoMsg {
-  uint64_t rows = 0;
-  uint64_t cache_entries = 0;
-
-  std::string Encode() const;
-  static bool Decode(const std::string& payload, ViewInfoMsg* out);
 };
 
 // ---------------------------------------------------------------------------

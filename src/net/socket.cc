@@ -180,26 +180,6 @@ ssize_t Socket::RecvSome(void* data, size_t n) {
   }
 }
 
-ssize_t Socket::RecvSomeDeadline(void* data, size_t n, int deadline_ms) {
-  const uint64_t deadline =
-      deadline_ms < 0 ? 0 : MonotonicMillis() + static_cast<uint64_t>(deadline_ms);
-  while (true) {
-    if (deadline_ms >= 0) {
-      int ready = WaitReadyUntil(fd_, POLLIN, deadline);
-      if (ready == 0) return kIoTimeout;
-      if (ready < 0) return -1;
-    }
-    ssize_t got = RecvSome(data, n);
-    if (got == kIoWouldBlock) {
-      // Poll raced another reader or reported a spurious wakeup; if there
-      // is no deadline, kIoWouldBlock is the answer.
-      if (deadline_ms < 0) return kIoWouldBlock;
-      continue;
-    }
-    return got;
-  }
-}
-
 bool Socket::SetNonBlocking(bool nonblocking) {
   int flags = ::fcntl(fd_, F_GETFL, 0);
   if (flags < 0) return false;

@@ -19,10 +19,9 @@
 //
 // Deadlines: every blocking call takes an optional `deadline_ms` budget
 // enforced with poll(2) before each syscall, surfacing IoStatus::kTimeout
-// (or kIoTimeout for Some-style calls) distinct from EOF and errors. This
-// is the bottom of the fault-tolerance plane: no RPC above this layer is
-// issued without a deadline once one is configured (see
-// docs/ARCHITECTURE.md, cross-cutting invariant 6).
+// distinct from EOF and errors. This is the bottom of the fault-tolerance
+// plane: no RPC above this layer is issued without a deadline once one is
+// configured (see docs/ARCHITECTURE.md, cross-cutting invariant 6).
 
 #ifndef PVCDB_NET_SOCKET_H_
 #define PVCDB_NET_SOCKET_H_
@@ -47,11 +46,6 @@ enum class IoStatus : uint8_t {
 /// Result code SendSome/RecvSome use for "would block" (EAGAIN) so the
 /// poll loop can distinguish it from EOF (0) and errors (-1).
 constexpr ssize_t kIoWouldBlock = -2;
-
-/// Result code of the deadline-bounded Some-style calls: the deadline
-/// expired before any byte moved. Distinct from kIoWouldBlock (EAGAIN
-/// observed, no deadline spent yet), EOF (0), and errors (-1).
-constexpr ssize_t kIoTimeout = -3;
 
 /// "No deadline" sentinel for every `deadline_ms` parameter in this layer:
 /// block indefinitely, exactly the pre-deadline behaviour.
@@ -97,12 +91,6 @@ class Socket {
   /// One recv(2) call on a non-blocking socket: bytes read (> 0), 0 on
   /// orderly EOF, kIoWouldBlock, or -1 on error.
   ssize_t RecvSome(void* data, size_t n);
-
-  /// RecvSome that first waits (poll) up to `deadline_ms` for readability:
-  /// bytes read (> 0), 0 on EOF, kIoTimeout when the deadline expired with
-  /// nothing to read, or -1 on error. Used by deadline-bounded relays
-  /// (src/net/fault.h) where kIoWouldBlock would spin.
-  ssize_t RecvSomeDeadline(void* data, size_t n, int deadline_ms);
 
   /// Switches O_NONBLOCK; false on fcntl failure.
   bool SetNonBlocking(bool nonblocking);

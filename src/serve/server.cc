@@ -46,14 +46,6 @@ QueryRun DatabaseBackend::PrintView(const std::string& name) {
   return run;
 }
 
-std::vector<ViewInfo> DatabaseBackend::ViewInfos() {
-  std::vector<ViewInfo> infos;
-  for (const std::string& name : db_->ViewNames()) {
-    infos.push_back(DescribeView(db_, name));
-  }
-  return infos;
-}
-
 // ---------------------------------------------------------------------------
 // InProcessBackend: a DatabaseBackend plus the placement bookkeeping.
 // ---------------------------------------------------------------------------

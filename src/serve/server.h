@@ -10,8 +10,10 @@
 //   - InProcessBackend, a DatabaseBackend over the one Database of an
 //     in-process ShardedDatabase (the shell after `shards n`, and the
 //     server's bit-identity reference mode);
-//   - RemoteBackend over a Coordinator of out-of-process shard workers
-//     (the server's normal mode).
+//   - RemoteBackend, a DatabaseBackend over the replica of a Coordinator
+//     of out-of-process shard workers (the server's normal mode).
+// Materialized views live on the backend's Database in every mode, so the
+// view commands have one implementation: DatabaseBackend's.
 // tools/pvcdb_shell.cc is a REPL over RunCommand writing to std::cout
 // (default precision 6). The server runs ExecuteCommand, which renders
 // into a precision-17 buffer, so reply-text equality between two backends
@@ -131,12 +133,12 @@ class DatabaseBackend : public ServeBackend {
   }
   size_t RegisterView(const std::string& name, QueryPtr query,
                       std::vector<std::string>* warnings) override {
-    (void)warnings;  // A single database has no degraded mode.
+    (void)warnings;  // Views never touch a worker: no degraded mode.
     return db_->RegisterView(name, std::move(query)).NumRows();
   }
   bool HasView(const std::string& name) override { return db_->HasView(name); }
   QueryRun PrintView(const std::string& name) override;
-  std::vector<ViewInfo> ViewInfos() override;
+  std::vector<ViewInfo> ViewInfos() override { return db_->ViewInfos(); }
   std::string Workers() override {
     return "in-process engine (single database); no worker processes\n";
   }
@@ -159,7 +161,7 @@ class DatabaseBackend : public ServeBackend {
 
 /// Backend over an in-process ShardedDatabase (does not own it): the
 /// DatabaseBackend over its one Database, plus the placement upkeep and
-/// shard-aware diagnostics. Loads and row mutations go through the
+/// the per-shard `tables` counts. Loads and row mutations go through the
 /// ShardedDatabase so the placement follows them.
 class InProcessBackend : public DatabaseBackend {
  public:
@@ -181,20 +183,21 @@ class InProcessBackend : public DatabaseBackend {
   size_t Delete(const std::string& table, const Cell& key) override {
     return sharded_->DeleteTuple(table, key);
   }
-  std::vector<ViewInfo> ViewInfos() override { return sharded_->ViewInfos(); }
   std::string Workers() override;
 
  private:
   ShardedDatabase* sharded_;
 };
 
-/// Serving backend over a Coordinator of remote workers (does not own it).
-class RemoteBackend : public ServeBackend {
+/// Serving backend over a Coordinator of remote workers (does not own it):
+/// the DatabaseBackend over the coordinator's replica, which holds the
+/// catalog and every view. Loads, queries and mutations go through the
+/// coordinator so the placement, the shard logs and the workers follow.
+class RemoteBackend : public DatabaseBackend {
  public:
   explicit RemoteBackend(Coordinator* coordinator)
-      : coordinator_(coordinator) {}
+      : DatabaseBackend(&coordinator->local()), coordinator_(coordinator) {}
 
-  const Database& catalog() const override { return coordinator_->local(); }
   size_t num_shards() const override { return coordinator_->num_shards(); }
   std::vector<size_t> ShardRowCounts(const std::string& name) override {
     return coordinator_->ShardRowCounts(name);
@@ -204,11 +207,6 @@ class RemoteBackend : public ServeBackend {
     return LoadCsvTableFromFile(coordinator_, table, path);
   }
   QueryRun RunQuery(const Query& q) override { return coordinator_->Run(q); }
-  Distribution ConditionalAgg(const QueryRun& run, size_t row_index,
-                              const std::string& column) override {
-    return coordinator_->ConditionalAggregateDistribution(run, row_index,
-                                                          column);
-  }
   void Insert(const std::string& table, std::vector<Cell> cells,
               double p) override {
     coordinator_->InsertTuple(table, std::move(cells), p);
@@ -218,19 +216,6 @@ class RemoteBackend : public ServeBackend {
   }
   void SetProb(VarId var, double p) override {
     coordinator_->UpdateProbability(var, p);
-  }
-  size_t RegisterView(const std::string& name, QueryPtr query,
-                      std::vector<std::string>* warnings) override {
-    return coordinator_->RegisterView(name, std::move(query), warnings);
-  }
-  bool HasView(const std::string& name) override {
-    return coordinator_->HasView(name);
-  }
-  QueryRun PrintView(const std::string& name) override {
-    return coordinator_->PrintView(name);
-  }
-  std::vector<ViewInfo> ViewInfos() override {
-    return coordinator_->ViewInfos();
   }
   std::string Workers() override;
   bool Respawn(size_t shard, std::string* message) override;

@@ -1,5 +1,7 @@
 #include "src/util/parallel.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <exception>
@@ -26,7 +28,7 @@ class ScopedWorkerMark {
 
 }  // namespace
 
-ThreadPool::ThreadPool(size_t num_threads) {
+ThreadPool::ThreadPool(size_t num_threads) : owner_pid_(::getpid()) {
   threads_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     threads_.emplace_back([this] { WorkerLoop(); });
@@ -66,9 +68,17 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-ThreadPool& ThreadPool::Shared() {
-  static ThreadPool pool(std::max<size_t>(DefaultThreadCount() - 1, 3));
-  return pool;
+ThreadPool* ThreadPool::Shared() {
+  // A pool inherited across fork() is never used or destroyed: its
+  // threads, and the locks they may have held, exist only in the parent.
+  static struct Holder {
+    ThreadPool* pool =
+        new ThreadPool(std::max<size_t>(DefaultThreadCount() - 1, 3));
+    ~Holder() {
+      if (pool->owner_pid_ == ::getpid()) delete pool;
+    }
+  } holder;
+  return holder.pool->owner_pid_ == ::getpid() ? holder.pool : nullptr;
 }
 
 size_t DefaultThreadCount() {
@@ -85,7 +95,9 @@ bool InParallelWorker() { return tls_in_parallel_worker; }
 void ParallelFor(int num_threads, size_t n,
                  const std::function<void(size_t)>& fn) {
   size_t threads = std::min(ResolveThreadCount(num_threads), n);
-  if (threads <= 1 || InParallelWorker()) {
+  ThreadPool* pool =
+      threads > 1 && !InParallelWorker() ? ThreadPool::Shared() : nullptr;
+  if (pool == nullptr) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
@@ -125,7 +137,7 @@ void ParallelFor(int num_threads, size_t n,
     state.active_helpers = helpers;
   }
   for (size_t h = 0; h < helpers; ++h) {
-    ThreadPool::Shared().Submit([&state, &worker] {
+    pool->Submit([&state, &worker] {
       worker();
       std::unique_lock<std::mutex> lock(state.mutex);
       if (--state.active_helpers == 0) state.done.notify_one();

@@ -17,6 +17,8 @@
 #ifndef PVCDB_UTIL_PARALLEL_H_
 #define PVCDB_UTIL_PARALLEL_H_
 
+#include <sys/types.h>
+
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -49,11 +51,16 @@ class ThreadPool {
   /// The lazily constructed process-wide pool used by ParallelFor. Sized to
   /// the hardware concurrency minus the calling thread, with a floor of 3
   /// workers so that num_threads in {2, 4, 8} genuinely multithreads (and
-  /// TSan sees real interleavings) even on small CI machines.
-  static ThreadPool& Shared();
+  /// TSan sees real interleavings) even on small CI machines. Null in a
+  /// process forked after the pool was built: the child inherits the pool
+  /// object but none of its threads, and a child of a multithreaded
+  /// process may not start threads of its own, so it runs serially.
+  static ThreadPool* Shared();
 
  private:
   void WorkerLoop();
+
+  const pid_t owner_pid_;  ///< The process whose threads serve this pool.
 
   std::mutex mutex_;
   std::condition_variable cv_;
@@ -79,10 +86,11 @@ bool InParallelWorker();
 /// counter, so which thread runs which iteration is unspecified; results
 /// are nevertheless deterministic whenever fn(i) only writes state owned by
 /// iteration i (the only usage pattern in this codebase). Falls back to a
-/// plain serial loop when `num_threads` resolves to 1, n < 2, or the caller
-/// is already inside a ParallelFor. The first exception thrown by any
-/// iteration is rethrown on the caller once all claimed iterations finish;
-/// remaining iterations are abandoned.
+/// plain serial loop when `num_threads` resolves to 1, n < 2, the caller
+/// is already inside a ParallelFor, or the process was forked after the
+/// pool was built (ThreadPool::Shared() is null). The first exception
+/// thrown by any iteration is rethrown on the caller once all claimed
+/// iterations finish; remaining iterations are abandoned.
 void ParallelFor(int num_threads, size_t n,
                  const std::function<void(size_t)>& fn);
 

@@ -21,9 +21,8 @@
 namespace pvcdb {
 namespace {
 
-// Drops the per-shard parts of a reply that only the sharded engines
-// print: the `tables` row counts per shard and the "(per shard)" plan tag
-// of a chain view in `views`.
+// Drops the per-shard part of a reply that only the sharded engines print:
+// the `tables` row counts per shard.
 std::string WithoutShardDetail(const std::string& text) {
   std::string out;
   std::istringstream lines(text);
@@ -31,9 +30,6 @@ std::string WithoutShardDetail(const std::string& text) {
   while (std::getline(lines, line)) {
     size_t at = line.find("; per shard:");
     if (at != std::string::npos) line = line.substr(0, at) + ")";
-    const std::string tag = " (per shard)";
-    at = line.find(tag);
-    if (at != std::string::npos) line.erase(at, tag.size());
     out += line + "\n";
   }
   return out;
@@ -85,7 +81,7 @@ TEST(CommandTest, DatabaseBackendMatchesInProcessShards) {
       words >> command;
       for (size_t b = 1; b < kBackends; ++b) {
         EXPECT_EQ(replies[b].ok, replies[0].ok) << "command: " << line;
-        if (command == "tables" || command == "views") {
+        if (command == "tables") {
           EXPECT_EQ(replies[0].text.find("per shard"), std::string::npos);
           EXPECT_EQ(WithoutShardDetail(replies[b].text), replies[0].text)
               << "command: " << line;

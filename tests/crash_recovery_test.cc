@@ -137,10 +137,10 @@ void RunForkKillCrash(uint32_t seed, uint64_t num_shards, int threads) {
   if (pid == 0) {
     // Child: every append fsyncs, so a progress byte means "durable".
     // The child applies mutations serially: fork() duplicates only the
-    // calling thread, so the inherited ThreadPool::Shared() workers are
-    // dead and any ParallelFor fan-out would wait on them forever. The
-    // `threads` grid is exercised parent-side, where it matters: the
-    // recovered engine and its twin evaluate probabilities with it.
+    // calling thread, so a child forked after the pool started runs every
+    // ParallelFor on that one thread anyway. The `threads` grid is
+    // exercised parent-side, where it matters: the recovered engine and
+    // its twin evaluate probabilities with it.
     close(pipe_fds[0]);
     DurableConfig config;
     config.dir = dir;

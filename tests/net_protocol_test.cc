@@ -275,33 +275,6 @@ TEST(ProtocolTest, EvalChainCarriesTheQuery) {
   }
 }
 
-TEST(ProtocolTest, TableProbsRoundTrip) {
-  TableProbsMsg msg;
-  msg.table = "items";
-  msg.want_distributions = true;
-  ExpectRoundTripStable(msg);
-}
-
-TEST(ProtocolTest, RegisterChainViewRoundTrip) {
-  ParseResult parsed = ParseQuery("SELECT * FROM items WHERE price >= 500");
-  ASSERT_TRUE(parsed.ok());
-  RegisterChainViewMsg msg;
-  msg.name = "pricey";
-  msg.table = "items";
-  msg.query = parsed.query;
-  const std::string bytes = msg.Encode();
-  RegisterChainViewMsg decoded;
-  ASSERT_TRUE(RegisterChainViewMsg::Decode(bytes, &decoded));
-  EXPECT_EQ(decoded.Encode(), bytes);
-  EXPECT_EQ(decoded.name, "pricey");
-}
-
-TEST(ProtocolTest, NameMsgRoundTrip) {
-  NameMsg msg;
-  msg.name = "a view name";
-  ExpectRoundTripStable(msg);
-}
-
 TEST(ProtocolTest, ChainResultRoundTrip) {
   ChainResultMsg msg;
   msg.schema = ItemsSchema();
@@ -326,19 +299,7 @@ TEST(ProtocolTest, ChainResultRoundTrip) {
             Distribution().ToString());
 }
 
-TEST(ProtocolTest, ProbsResultRoundTrip) {
-  ProbsResultMsg msg;
-  msg.rows.push_back({0, 0.25, Distribution()});
-  msg.rows.push_back({3, 1.0, Distribution::Bernoulli(1.0)});
-  ExpectRoundTripStable(msg);
-}
-
 TEST(ProtocolTest, ScalarRepliesRoundTrip) {
-  ViewInfoMsg info;
-  info.rows = 7;
-  info.cache_entries = 3;
-  ExpectRoundTripStable(info);
-
   OkMsg ok;
   ok.value = 1234567;
   ExpectRoundTripStable(ok);

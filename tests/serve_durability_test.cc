@@ -246,8 +246,9 @@ ResyncLine ParseResyncLine(const std::string& line) {
 }
 
 // The mutation sequence every phase of the test serves: a load, a routed
-// insert, a marginal update, a distributable chain view, and a broadcast
-// delete -- each producing WAL records and shard-log entries.
+// insert, a marginal update, a chain view on the replica, and a broadcast
+// delete -- each producing WAL records (and, but for the view, shard-log
+// entries).
 void MutateAll(Coordinator* coordinator) {
   Schema schema({{"item", CellType::kString}, {"price", CellType::kInt}});
   std::vector<std::vector<Cell>> rows = {
@@ -265,9 +266,7 @@ void MutateAll(Coordinator* coordinator) {
   ParseResult parsed =
       ParseQuery("SELECT * FROM items WHERE price >= 1000");
   ASSERT_TRUE(parsed.ok());
-  std::vector<std::string> warnings;
-  coordinator->RegisterView("pricey", std::move(parsed.query), &warnings);
-  EXPECT_TRUE(warnings.empty());
+  coordinator->local().RegisterView("pricey", std::move(parsed.query));
   coordinator->DeleteTuple("items", Cell(std::string("rake")));
 }
 
@@ -313,7 +312,7 @@ TEST(ServeDurabilityTest, CoordinatorRestartTailResyncsSurvivingWorkers) {
     ASSERT_TRUE(run.warnings.empty());
     before_text = run.text;
     before_probs = run.probabilities;
-    before_view_probs = coordinator->PrintView("pricey").probabilities;
+    before_view_probs = coordinator->local().ViewProbabilities("pricey");
     session.reset();      // Crash: no checkpoint, no worker shutdown.
     coordinator.reset();  // Connections drop; workers await a reconnect.
   }
@@ -345,7 +344,7 @@ TEST(ServeDurabilityTest, CoordinatorRestartTailResyncsSurvivingWorkers) {
     EXPECT_TRUE(run.warnings.empty());
     EXPECT_EQ(run.text, before_text);
     EXPECT_EQ(run.probabilities, before_probs);
-    EXPECT_EQ(coordinator->PrintView("pricey").probabilities,
+    EXPECT_EQ(coordinator->local().ViewProbabilities("pricey"),
               before_view_probs);
 
     // The recovered session keeps serving durable mutations.

@@ -8,8 +8,10 @@
 // precision 17, so text equality is double bit-equality.
 //
 // Also covered: a SIGKILLed worker is detected, degraded queries fall back
-// to the coordinator replica with a warning (values unchanged), and
-// `respawn` rebuilds the worker by full resync.
+// to the coordinator replica with a warning (values unchanged), views --
+// which live on the replica -- keep serving without one, and `respawn`
+// rebuilds the worker by full resync, also after the front end has started
+// its evaluation thread pool.
 
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -18,6 +20,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <string>
@@ -162,7 +165,8 @@ class Reference {
 };
 
 pid_t StartServer(const std::string& address, size_t shards, bool in_process,
-                  const std::string& open_dir = "", int group_commit_ms = -1) {
+                  const std::string& open_dir = "", int group_commit_ms = -1,
+                  int rpc_timeout_ms = -1) {
   pid_t pid = fork();
   if (pid == 0) {
     ServerConfig config;
@@ -172,6 +176,7 @@ pid_t StartServer(const std::string& address, size_t shards, bool in_process,
     config.quiet = true;
     config.open_dir = open_dir;
     config.group_commit_ms = group_commit_ms;
+    config.rpc_timeout_ms = rpc_timeout_ms;
     _exit(RunServer(config));
   }
   return pid;
@@ -191,6 +196,39 @@ pid_t WorkerPidFrom(const std::string& workers_text, size_t shard) {
   if (at == std::string::npos) return -1;
   return static_cast<pid_t>(
       std::strtol(workers_text.c_str() + at + prefix.size(), nullptr, 10));
+}
+
+// True while `pid` exists and is not a zombie. A worker orphaned by its
+// server's exit is reparented, so its exit status may never be collected.
+bool ProcessRunning(pid_t pid) {
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  std::string contents;
+  if (!std::getline(stat, contents)) return false;
+  size_t paren = contents.rfind(')');
+  return paren != std::string::npos && paren + 2 < contents.size() &&
+         contents[paren + 2] != 'Z';
+}
+
+// SIGKILLs every listed process still running when the scope ends, so a
+// failed assertion never strands a server or its workers.
+struct ProcessReaper {
+  std::vector<pid_t> pids;
+  ~ProcessReaper() {
+    for (pid_t pid : pids) {
+      if (pid > 0 && ProcessRunning(pid)) kill(pid, SIGKILL);
+    }
+  }
+};
+
+// Waits up to `timeout_ms` for `pid` to stop running.
+bool WaitUntilGone(pid_t pid, int timeout_ms) {
+  auto deadline = std::chrono::steady_clock::now() +
+                  std::chrono::milliseconds(timeout_ms);
+  while (ProcessRunning(pid)) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    usleep(10 * 1000);
+  }
+  return true;
 }
 
 TEST(ServeE2eTest, BitIdenticalAcrossShardsAndConcurrentClients) {
@@ -310,11 +348,16 @@ TEST(ServeE2eTest, KilledWorkerDegradesThenRespawns) {
                          ", down"),
             std::string::npos)
       << workers;
-  const std::string view_degraded = c0.Send("view pricey");
-  EXPECT_NE(view_degraded.find("warning: worker 0 down"), std::string::npos);
+  // Views live on the coordinator's replica: printing and registering one
+  // never touches a worker, so neither degrades nor warns.
+  EXPECT_EQ(c0.Send("view pricey"), ref.Run("view pricey"));
+  const std::string register_cheap =
+      "view cheap SELECT * FROM items WHERE price < 1000";
+  EXPECT_EQ(c0.Send(register_cheap), ref.Run(register_cheap));
+  EXPECT_EQ(c0.Send("view cheap"), ref.Run("view cheap"));
 
-  // Respawn resyncs variables, partitions, and chain views in full; the
-  // distributed path resumes (no warning) with identical bytes.
+  // Respawn resyncs variables and partitions in full; the distributed path
+  // resumes (no warning) with identical bytes.
   std::string respawned = c0.Send("respawn 0");
   EXPECT_EQ(respawned.compare(0, 19, "worker 0 respawned "), 0) << respawned;
   workers = c0.Send("workers");
@@ -328,9 +371,69 @@ TEST(ServeE2eTest, KilledWorkerDegradesThenRespawns) {
   EXPECT_EQ(c0.Send(tail), ref.Run(tail));
   EXPECT_EQ(c0.Send(chain), ref.Run(chain));
   EXPECT_EQ(c0.Send("view pricey"), ref.Run("view pricey"));
+  EXPECT_EQ(c0.Send("view cheap"), ref.Run("view cheap"));
+  EXPECT_EQ(c0.Send("views"), ref.Run("views"));
 
   EXPECT_EQ(c0.Send("shutdown"), "shutting down\n");
   ExpectCleanExit(server);
+}
+
+// A worker forked after the front end has started its evaluation thread
+// pool (`threads 2` + a GROUP BY run on the replica) must not queue work on
+// the pool it inherits, which has no threads: such a child would hang in
+// ParallelFor, its chain scatter would time out into a degraded reply, and
+// the hung child would outlive `shutdown`.
+TEST(ServeE2eTest, RespawnAfterThreadPoolStartServesChainQueries) {
+  TempDir dir;
+  WriteDataset(dir);
+  const std::string address = dir.path() + "/server.sock";
+  pid_t server = StartServer(address, 2, /*in_process=*/false, "", -1,
+                             /*rpc_timeout_ms=*/3000);
+  ASSERT_GT(server, 0);
+  ProcessReaper reaper;
+  reaper.pids.push_back(server);
+
+  Reference ref(2);
+  Client c0;
+  ASSERT_TRUE(c0.Connect(address));
+  const std::string load = "load items " + dir.path() + "/items.csv";
+  ASSERT_EQ(c0.Send(load), ref.Run(load));
+  // Thread counts never change a reply byte, so the reference stays serial
+  // (and this test process never starts a pool of its own).
+  ASSERT_EQ(c0.Send("threads 2").compare(0, 16, "num_threads = 2 "), 0);
+  const std::string group =
+      "SELECT kind, COUNT(*) AS n FROM items GROUP BY kind";
+  ASSERT_EQ(c0.Send(group), ref.Run(group));
+
+  std::string workers = c0.Send("workers");
+  pid_t worker0 = WorkerPidFrom(workers, 0);
+  pid_t worker1 = WorkerPidFrom(workers, 1);
+  ASSERT_GT(worker0, 0);
+  ASSERT_GT(worker1, 0);
+  reaper.pids.push_back(worker1);
+  ASSERT_EQ(kill(worker0, SIGKILL), 0);
+  ASSERT_TRUE(WaitUntilGone(worker0, 5000));
+  // The next `workers` probe finds the dead link and marks worker 0 down.
+  workers = c0.Send("workers");
+  ASSERT_NE(workers.find("worker 0: pid " + std::to_string(worker0) +
+                         ", down"),
+            std::string::npos)
+      << workers;
+  std::string respawned = c0.Send("respawn 0");
+  ASSERT_EQ(respawned.compare(0, 19, "worker 0 respawned "), 0) << respawned;
+  pid_t fresh = WorkerPidFrom(c0.Send("workers"), 0);
+  ASSERT_GT(fresh, 0);
+  reaper.pids.push_back(fresh);
+
+  const std::string chain = "SELECT * FROM items WHERE price >= 1000";
+  EXPECT_EQ(c0.Send(chain), ref.Run(chain));
+
+  EXPECT_EQ(c0.Send("shutdown"), "shutting down\n");
+  ExpectCleanExit(server);
+  for (pid_t pid : {fresh, worker1}) {
+    EXPECT_TRUE(WaitUntilGone(pid, 5000))
+        << "worker pid " << pid << " still running after shutdown";
+  }
 }
 
 // The crash gauntlet (ISSUE acceptance): a durable server is SIGKILLed
